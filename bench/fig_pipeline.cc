@@ -1,7 +1,7 @@
 // Pipelined-ingest figure (beyond the paper): per-timestamp wall cost of
 // the monitoring server vs ingest pipeline depth x worker-shard count, for
 // the two incremental algorithms. Depth 1 is the synchronous tick; depth 2
-// double-buffers, so workload generation plus stage 1-2 preprocessing of
+// double-buffers, so workload generation plus the validating fold of
 // tick t+1 overlap the shard maintenance of tick t (docs/pipeline.md).
 // Results are identical at every (depth, shards) point — the curve
 // isolates the ingest overlap. The cpu_sec_per_ts counter reports the

@@ -57,7 +57,8 @@ void Gma::AttachToEndpoints(QueryId id, UserQuery* uq) {
   }
 }
 
-void Gma::DetachFromEndpoints(QueryId id, UserQuery* uq) {
+void Gma::DetachFromEndpoints(QueryId id, UserQuery* uq,
+                              std::vector<NodeId>* lowered) {
   const SequenceTable::Sequence& seq = st_->sequence(uq->seq);
   const NodeId ends[2] = {seq.EndpointA(), seq.EndpointB()};
   for (int i = 0; i < 2; ++i) {
@@ -67,7 +68,11 @@ void Gma::DetachFromEndpoints(QueryId id, UserQuery* uq) {
     auto it = active_.find(n);
     CKNN_CHECK(it != active_.end());
     it->second.queries.erase(id);
-    SyncNodeK(n, &it->second);
+    if (lowered != nullptr && !it->second.queries.empty()) {
+      lowered->push_back(n);
+    } else {
+      SyncNodeK(n, &it->second);
+    }
   }
 }
 
@@ -217,8 +222,14 @@ void Gma::EvaluateQuery(QueryId id, UserQuery* uq) {
 
 Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   // Terminations first: no maintenance is spent on queries that are gone
-  // (Fig. 12 line 1's Q_del).
+  // (Fig. 12 line 1's Q_del). A node that loses its last query goes now;
+  // one that keeps queries has its k lowered only after the engine pass.
+  // Lowering k rebuilds the node's NN set from the object table, and in
+  // shared-table mode the table already holds this timestamp's positions
+  // while the node's candidates do not yet — rebuilding from that mix
+  // loses objects that moved onto edges the rebuild uncovers.
   std::unordered_set<QueryId> to_evaluate;
+  std::vector<NodeId> lowered;
   // cknn-lint: allow(unordered-iter) batch.queries is a vector (name collision)
   for (const QueryUpdate& qu : batch.queries) {
     if (qu.kind != QueryUpdate::Kind::kTerminate) continue;
@@ -227,7 +238,7 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
       return Status::NotFound("terminate for unknown query");
     }
     ClearInfluence(qu.id, &it->second);
-    DetachFromEndpoints(qu.id, &it->second);
+    DetachFromEndpoints(qu.id, &it->second, &lowered);
     queries_.erase(it);
   }
 
@@ -235,6 +246,10 @@ Status Gma::ProcessTimestamp(const UpdateBatch& batch) {
   // (this also applies the object/edge updates to the shared tables).
   const std::vector<QueryId> changed_nodes =
       engine_.ProcessUpdates(batch.objects, batch.edges, {});
+  for (NodeId n : lowered) {
+    auto it = active_.find(n);
+    if (it != active_.end()) SyncNodeK(n, &it->second);
+  }
 
   // Structural query maintenance (Fig. 12 lines 1-4; a movement is a
   // deletion plus an insertion). Running it after the engine pass means

@@ -105,8 +105,11 @@ class Gma : public Monitor {
   /// Registers `q` at the active candidates among its sequence endpoints,
   /// creating/growing monitored nodes as needed.
   void AttachToEndpoints(QueryId id, UserQuery* uq);
-  /// Inverse of AttachToEndpoints (shrinks / deactivates nodes).
-  void DetachFromEndpoints(QueryId id, UserQuery* uq);
+  /// Inverse of AttachToEndpoints (shrinks / deactivates nodes). With
+  /// `lowered` set, a node that keeps other queries is appended there
+  /// instead of having its k lowered now (see ProcessTimestamp).
+  void DetachFromEndpoints(QueryId id, UserQuery* uq,
+                           std::vector<NodeId>* lowered = nullptr);
 
   /// Recomputes n.k for an active node after membership change; returns
   /// true if the node's monitored result may have changed shape.

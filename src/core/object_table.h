@@ -48,6 +48,13 @@ class ObjectTable {
   /// Current position of an object.
   Result<NetworkPoint> Position(ObjectId id) const;
 
+  /// Current position of an object, nullptr if absent — for lookups where
+  /// absence is an answer, not an error.
+  const NetworkPoint* Find(ObjectId id) const {
+    auto it = positions_.find(id);
+    return it == positions_.end() ? nullptr : &it->second;
+  }
+
   bool Contains(ObjectId id) const { return positions_.count(id) != 0; }
 
   /// Objects currently lying on edge `e`.

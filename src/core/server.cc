@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <limits>
 #include <optional>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/util/macros.h"
@@ -42,8 +42,8 @@ std::unique_ptr<PmrQuadtree> BuildSpatialIndex(const RoadNetwork& net) {
 /// Positions entering the system must lie on a known edge at a finite
 /// fraction in [0, 1]; NaN offsets would otherwise slide through every
 /// `<` comparison downstream (a NaN is ordered against nothing).
-Status ValidateIncomingPoint(const NetworkPoint& p, std::size_t num_edges,
-                             const char* what) {
+Status CheckPoint(const NetworkPoint& p, std::size_t num_edges,
+                  const char* what) {
   if (p.edge >= num_edges) {
     return Status::InvalidArgument(std::string(what) + " on unknown edge");
   }
@@ -54,23 +54,59 @@ Status ValidateIncomingPoint(const NetworkPoint& p, std::size_t num_edges,
   return Status::OK();
 }
 
-/// Drops the {nullopt, nullopt} slots of validated appeared-and-died
-/// chains (see AggregateObjects): past validation they are no-ops at
-/// every layer, and the monitors' one-update-per-entity contract is
-/// cleanest without them.
-void StripCancelledObjectChains(UpdateBatch* batch) {
-  batch->objects.erase(
-      std::remove_if(batch->objects.begin(), batch->objects.end(),
-                     [](const ObjectUpdate& u) {
-                       return !u.old_pos.has_value() &&
-                              !u.new_pos.has_value();
-                     }),
-      batch->objects.end());
+/// An object update against the id's running position (nullopt: absent).
+Status CheckObject(const ObjectUpdate& u,
+                   const std::optional<NetworkPoint>& current,
+                   std::size_t num_edges) {
+  if (u.old_pos.has_value()) {
+    if (!current.has_value()) {
+      return Status::NotFound("update for unknown object");
+    }
+    if (!(*current == *u.old_pos)) {
+      return Status::InvalidArgument(
+          "object update old position does not match the table");
+    }
+  } else if (current.has_value()) {
+    return Status::AlreadyExists("object appears but already exists");
+  }
+  if (!u.new_pos.has_value()) return Status::OK();
+  return CheckPoint(*u.new_pos, num_edges, "object position");
 }
 
-}  // namespace
+/// A query update against the id's running registration. Every check
+/// here mirrors an engine error return, so a folded batch cannot fail in
+/// a shard.
+Status CheckQuery(const QueryUpdate& u, bool registered,
+                  std::size_t num_edges) {
+  switch (u.kind) {
+    case QueryUpdate::Kind::kTerminate:
+      if (!registered) return Status::NotFound("terminate for unknown query");
+      return Status::OK();
+    case QueryUpdate::Kind::kMove:
+      if (!registered) return Status::NotFound("move for unknown query");
+      return CheckPoint(u.pos, num_edges, "query move position");
+    case QueryUpdate::Kind::kInstall:
+      if (registered) {
+        return Status::AlreadyExists("query id already monitored");
+      }
+      if (u.k < 1) return Status::InvalidArgument("k must be >= 1");
+      return CheckPoint(u.pos, num_edges, "query position");
+  }
+  return Status::OK();
+}
 
-namespace {
+/// A weight update: known edge, finite non-negative weight (NaN fails
+/// every `<` comparison, so `new_weight < 0.0` alone would let it through).
+Status CheckEdge(const EdgeUpdate& u, std::size_t num_edges) {
+  if (u.edge >= num_edges) {
+    return Status::NotFound("weight update for unknown edge");
+  }
+  if (!std::isfinite(u.new_weight) || u.new_weight < 0.0) {
+    return Status::InvalidArgument(
+        "edge weight must be finite and non-negative");
+  }
+  return Status::OK();
+}
 
 /// Partitions the primary network's weight store before the shard set is
 /// built, so every shard view inherits the tile partition (mem-init-list
@@ -97,336 +133,187 @@ MonitoringServer::MonitoringServer(RoadNetwork network, Algorithm algorithm,
   CKNN_CHECK(pipeline_depth >= 1 && pipeline_depth <= 2);
 }
 
-void MonitoringServer::AggregateObjects(const UpdateBatch& batch,
-                                        std::vector<ObjectUpdate>* out) {
-  // Objects: each id's chain folds to (first old position, last new
-  // position) — an object that appears and disappears within the
-  // timestamp cancels out — as long as every link is consistent (each
-  // update's old position is the chain's running position). An
-  // inconsistent chain is emitted raw *in full* instead, so stage-2
-  // validation rejects the batch at the same update, with the same
-  // error, a sequential one-update-per-tick replay would hit; folding it
-  // would launder e.g. insert@p1 -> move(p999 -> p2) into a valid
-  // insert@p2 (and folding even the consistent prefix would erase an
-  // insert+delete pair whose insert is the sequential point of failure).
-  //
-  // Pass 1: chain consistency per id.
-  std::unordered_map<ObjectId, std::optional<NetworkPoint>> running;
-  std::unordered_set<ObjectId> broken;
-  for (const ObjectUpdate& u : batch.objects) {
+MonitoringServer::Fold MonitoringServer::FoldBatch(
+    const UpdateBatch& batch, const MonitoringServer* tables) {
+  using Stream = Verdict::Stream;
+  Fold out;
+  const std::size_t num_edges = tables != nullptr
+                                    ? tables->network_.NumEdges()
+                                    : std::numeric_limits<std::size_t>::max();
+  // Each stream maps an id to its slot on first valid sight; a refused
+  // first update takes its slot back, so the id's state before the batch
+  // is looked up again at its next update.
+
+  // Objects: out.batch.objects[slot] is the id's chain so far — old_pos
+  // its position before the batch, new_pos its running position — which
+  // is also its folded update (first old position, last new position).
+  std::unordered_map<ObjectId, std::size_t> object_slot;
+  object_slot.reserve(batch.objects.size());
+  std::vector<ObjectUpdate>& objects = out.batch.objects;
+  for (std::size_t i = 0; i < batch.objects.size(); ++i) {
+    const ObjectUpdate& u = batch.objects[i];
     if (!u.old_pos.has_value() && !u.new_pos.has_value()) {
       continue;  // A no-op at any table state (ObjectTable::Apply).
     }
-    auto it = running.find(u.id);
-    if (it == running.end()) {
-      running.emplace(u.id, u.new_pos);
-      continue;
+    const auto [it, fresh] = object_slot.try_emplace(u.id, objects.size());
+    std::optional<NetworkPoint> current;
+    if (!fresh) {
+      current = objects[it->second].new_pos;
+    } else if (tables == nullptr) {
+      current = u.old_pos;
+    } else if (const NetworkPoint* pos = tables->objects_.Find(u.id)) {
+      current = *pos;
     }
-    if (broken.count(u.id) != 0) continue;
-    const std::optional<NetworkPoint>& pos = it->second;
-    if (u.old_pos.has_value() == pos.has_value() &&
-        (!u.old_pos.has_value() || *u.old_pos == *pos)) {
-      it->second = u.new_pos;
+    Status status = CheckObject(u, current, num_edges);
+    if (!status.ok()) {
+      out.verdicts.push_back(Verdict{Stream::kObjects, i, std::move(status)});
+      if (fresh) object_slot.erase(it);
+    } else if (fresh) {
+      objects.push_back(u);
     } else {
-      broken.insert(u.id);
+      objects[it->second].new_pos = u.new_pos;
     }
   }
-  // Pass 2: fold consistent chains, emit broken ones verbatim.
-  std::unordered_map<ObjectId, std::size_t> slot;
-  for (const ObjectUpdate& u : batch.objects) {
-    if (!u.old_pos.has_value() && !u.new_pos.has_value()) continue;
-    if (broken.count(u.id) != 0) {
-      out->push_back(u);
-      continue;
-    }
-    auto it = slot.find(u.id);
-    if (it == slot.end()) {
-      slot.emplace(u.id, out->size());
-      out->push_back(u);
-    } else {
-      (*out)[it->second].new_pos = u.new_pos;
-    }
-  }
-  // A chain that appears and disappears within the tick folds to a
-  // {nullopt, nullopt} slot. It is deliberately NOT erased here: the slot
-  // is the only remaining evidence that the chain began with an insert,
-  // which a sequential replay rejects (AlreadyExists) when the id is
-  // already in the table — validation needs to see it. The server strips
-  // the validated no-ops before the batch reaches the table and the
-  // monitors (StripCancelledObjectChains). Literal {nullopt, nullopt}
-  // input updates were skipped above, so every such slot is a folded
-  // appeared-and-died chain.
-}
+  // A chain that appeared and disappeared within the batch is a no-op.
+  objects.erase(std::remove_if(objects.begin(), objects.end(),
+                               [](const ObjectUpdate& u) {
+                                 return !u.old_pos.has_value() &&
+                                        !u.new_pos.has_value();
+                               }),
+                objects.end());
 
-void MonitoringServer::AggregateQueries(const UpdateBatch& batch,
-                                        std::vector<QueryUpdate>* out) {
   // Queries: fold each id's install/move/terminate chain into its net
-  // effect. A chain whose first update is kInstall presumes the query is
-  // new to the system; one starting with kMove/kTerminate presumes it is
-  // already registered. A registered query that terminates and re-installs
-  // within the timestamp cannot collapse into a single update (a bare
-  // install would collide with the still-registered id), so it is emitted
-  // as a kTerminate immediately followed by a kInstall — the one sanctioned
+  // effect. A registered query that terminates and re-installs within the
+  // timestamp cannot collapse into a single update (a bare install would
+  // collide with the still-registered id), so it is emitted as a
+  // kTerminate immediately followed by a kInstall — the one sanctioned
   // exception to "one update per entity" (see Monitor::ProcessTimestamp):
   // every algorithm processes terminations before installations.
-  struct Fold {
-    bool began_alive = false;  ///< First update was a move/terminate.
-    bool died = false;         ///< Terminated while began_alive.
-    bool alive = false;        ///< Net state after the chain.
-    /// An install arrived while the query was alive — invalid sequential
-    /// input. Emitted as an install so the algorithms surface the same
-    /// AlreadyExists error a sequential replay would.
-    bool reinstalled_alive = false;
+  struct QueryChain {
+    QueryId id;
+    bool began_alive;  ///< Registered before the batch.
+    bool alive;        ///< Registered after the chain so far.
+    bool installed;    ///< The current registration is this batch's.
     NetworkPoint pos;
-    int k = 1;
+    int k;
   };
-  std::vector<QueryId> order;
-  std::unordered_map<QueryId, Fold> folds;
-  for (const QueryUpdate& u : batch.queries) {
-    auto it = folds.find(u.id);
-    if (it == folds.end()) {
-      order.push_back(u.id);
-      it = folds.emplace(u.id, Fold{}).first;
-      Fold& f = it->second;
-      f.began_alive = u.kind != QueryUpdate::Kind::kInstall;
-      f.alive = u.kind == QueryUpdate::Kind::kMove;  // Refined below.
+  std::vector<QueryChain> chains;
+  std::unordered_map<QueryId, std::size_t> query_slot;
+  query_slot.reserve(batch.queries.size());
+  for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+    const QueryUpdate& u = batch.queries[i];
+    const auto [it, fresh] = query_slot.try_emplace(u.id, chains.size());
+    bool registered = false;
+    if (!fresh) {
+      registered = chains[it->second].alive;
+    } else if (tables == nullptr) {
+      registered = u.kind != QueryUpdate::Kind::kInstall;
+    } else {
+      registered = tables->shards_.IsRegistered(u.id);
     }
-    Fold& f = it->second;
-    switch (u.kind) {
-      case QueryUpdate::Kind::kMove:
-        // A move of a dead-and-not-reinstalled query is invalid input;
-        // as before, it only updates the remembered position.
-        f.pos = u.pos;
-        break;
-      case QueryUpdate::Kind::kTerminate:
-        f.alive = false;
-        if (f.began_alive) f.died = true;
-        break;
-      case QueryUpdate::Kind::kInstall:
-        if (f.alive) f.reinstalled_alive = true;
-        f.alive = true;
-        f.pos = u.pos;
-        f.k = u.k;
-        break;
-    }
-  }
-  for (QueryId id : order) {
-    const Fold& f = folds.at(id);
-    const QueryUpdate install{id, QueryUpdate::Kind::kInstall, f.pos, f.k};
-    const QueryUpdate terminate{id, QueryUpdate::Kind::kTerminate,
-                                NetworkPoint{}, 0};
-    if (!f.began_alive) {
-      // Appeared within the tick: a single install, or nothing if it
-      // also terminated (net no-op). A duplicate install while alive is
-      // invalid input — emit it twice so validation rejects the batch
-      // (AlreadyExists) like a sequential replay would.
-      if (f.alive) {
-        out->push_back(install);
-        if (f.reinstalled_alive) out->push_back(install);
-      }
+    Status status = CheckQuery(u, registered, num_edges);
+    if (!status.ok()) {
+      out.verdicts.push_back(Verdict{Stream::kQueries, i, std::move(status)});
+      if (fresh) query_slot.erase(it);
       continue;
     }
-    if (!f.alive) {
-      out->push_back(terminate);
-    } else if (f.died) {
-      out->push_back(terminate);
-      out->push_back(install);
-      if (f.reinstalled_alive) out->push_back(install);
-    } else if (f.reinstalled_alive) {
-      // e.g. [move, install]: invalid input; keep the install so the
-      // batch is rejected (AlreadyExists) like a sequential replay.
-      out->push_back(install);
-    } else {
-      out->push_back(QueryUpdate{id, QueryUpdate::Kind::kMove, f.pos, 0});
+    if (fresh) {
+      chains.push_back(
+          QueryChain{u.id, registered, registered, false, NetworkPoint{}, 1});
+    }
+    QueryChain& chain = chains[it->second];
+    switch (u.kind) {
+      case QueryUpdate::Kind::kInstall:
+        chain.alive = chain.installed = true;
+        chain.pos = u.pos;
+        chain.k = u.k;
+        break;
+      case QueryUpdate::Kind::kMove:
+        chain.pos = u.pos;
+        break;
+      case QueryUpdate::Kind::kTerminate:
+        chain.alive = false;
+        break;
     }
   }
-}
+  for (const QueryChain& c : chains) {
+    if (c.began_alive && (!c.alive || c.installed)) {
+      out.batch.queries.push_back(
+          QueryUpdate{c.id, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+    }
+    if (!c.alive) continue;
+    out.batch.queries.push_back(
+        c.installed ? QueryUpdate{c.id, QueryUpdate::Kind::kInstall, c.pos, c.k}
+                    : QueryUpdate{c.id, QueryUpdate::Kind::kMove, c.pos, 0});
+  }
 
-void MonitoringServer::AggregateEdges(const UpdateBatch& batch,
-                                      std::vector<EdgeUpdate>* out) {
   // Edges: last weight wins (the paper aggregates weight changes into one
   // overall change per timestamp).
-  std::unordered_map<EdgeId, std::size_t> index;
-  for (const EdgeUpdate& u : batch.edges) {
-    auto it = index.find(u.edge);
-    if (it == index.end()) {
-      index.emplace(u.edge, out->size());
-      out->push_back(u);
+  std::unordered_map<EdgeId, std::size_t> edge_slot;
+  edge_slot.reserve(batch.edges.size());
+  for (std::size_t i = 0; i < batch.edges.size(); ++i) {
+    const EdgeUpdate& u = batch.edges[i];
+    Status status = CheckEdge(u, num_edges);
+    if (!status.ok()) {
+      out.verdicts.push_back(Verdict{Stream::kEdges, i, std::move(status)});
+      continue;
+    }
+    const auto [it, fresh] =
+        edge_slot.try_emplace(u.edge, out.batch.edges.size());
+    if (fresh) {
+      out.batch.edges.push_back(u);
     } else {
-      (*out)[it->second].new_weight = u.new_weight;
+      out.batch.edges[it->second].new_weight = u.new_weight;
     }
   }
+  return out;
 }
 
 UpdateBatch MonitoringServer::AggregateBatch(const UpdateBatch& batch) {
-  UpdateBatch out;
-  AggregateObjects(batch, &out.objects);
-  AggregateQueries(batch, &out.queries);
-  AggregateEdges(batch, &out.edges);
-  return out;
+  return FoldBatch(batch, nullptr).batch;
 }
 
-UpdateBatch MonitoringServer::AggregateOverlapped(const UpdateBatch& batch) {
-  ThreadPool* pool = shards_.pool();
-  if (pool == nullptr) return AggregateBatch(batch);
-  // The three folds read disjoint input streams and write disjoint output
-  // streams; running them as a pool batch lets workers that finished
-  // their shard of the in-flight tick early pick them up.
-  UpdateBatch out;
-  const std::vector<std::function<void()>> folds = {
-      [&] { AggregateObjects(batch, &out.objects); },
-      [&] { AggregateQueries(batch, &out.queries); },
-      [&] { AggregateEdges(batch, &out.edges); },
-  };
-  pool->RunAll(folds);
-  return out;
-}
-
-Status MonitoringServer::ValidateAggregated(
-    const UpdateBatch& aggregated) const {
-  // Objects. `overlay` tracks the position each id reaches earlier in the
-  // batch (a broken chain is emitted raw by AggregateObjects), so every
-  // update is checked against exactly the table state a sequential
-  // one-update-per-tick replay would see. The table itself is read-only
-  // here — in pipelined mode the in-flight tick's shards read it
-  // concurrently.
-  {
-    std::unordered_map<ObjectId, std::optional<NetworkPoint>> overlay;
-    for (const ObjectUpdate& u : aggregated.objects) {
-      std::optional<NetworkPoint> current;
-      auto it = overlay.find(u.id);
-      if (it != overlay.end()) {
-        current = it->second;
-      } else {
-        auto pos = objects_.Position(u.id);
-        if (pos.ok()) current = pos.value();
-      }
-      if (u.old_pos.has_value()) {
-        if (!current.has_value()) {
-          return Status::NotFound("update for unknown object");
-        }
-        if (!(*current == *u.old_pos)) {
-          return Status::InvalidArgument(
-              "object update old position does not match the table");
-        }
-      } else if (current.has_value()) {
-        // The chain began with an insert — either a plain appearance or
-        // an appeared-and-died chain folded to {nullopt, nullopt} — and
-        // a sequential replay rejects that insert while the id exists.
-        return Status::AlreadyExists("object appears but already exists");
-      }
-      if (u.new_pos.has_value()) {
-        CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-            *u.new_pos, network_.NumEdges(), "object position"));
-      }
-      overlay[u.id] = u.new_pos;
-    }
+void MonitoringServer::Commit(const UpdateBatch& folded) {
+  // Apply barrier: the shared table may only mutate once the in-flight
+  // tick has fully retired. The fold refuses every update an engine would
+  // reject, and by the time a shard runs the shared table is already
+  // mutated, so a shard failure is corrupted engine state, not bad input:
+  // it must not escape as a Status from a server that looks usable.
+  if (shards_.InFlight()) {
+    const Status retired = shards_.WaitProcessTimestamp();
+    CKNN_CHECK(retired.ok());
   }
-  // Edges: known edge, finite non-negative weight (NaN fails every `<`
-  // comparison, so `new_weight < 0.0` alone would let it through).
-  for (const EdgeUpdate& u : aggregated.edges) {
-    if (u.edge >= network_.NumEdges()) {
-      return Status::NotFound("weight update for unknown edge");
-    }
-    if (!std::isfinite(u.new_weight) || u.new_weight < 0.0) {
-      return Status::InvalidArgument(
-          "edge weight must be finite and non-negative");
-    }
-  }
-  // Queries — validated before stage 3, so a batch a shard would reject
-  // cannot leave the shared table mutated but unrouted (the monitors' own
-  // error returns for these cases are unreachable through the server).
-  // `overlay` tracks registration changes made earlier in this batch
-  // (e.g. a terminate→install pair); the pre-batch registration state
-  // comes from the shard set's caller-side registry, which is safe to
-  // read while a detached tick mutates the engines.
-  {
-    std::unordered_map<QueryId, bool> overlay;
-    const auto registered = [&](QueryId id) {
-      auto it = overlay.find(id);
-      return it != overlay.end() ? it->second : shards_.IsRegistered(id);
-    };
-    for (const QueryUpdate& u : aggregated.queries) {
-      switch (u.kind) {
-        case QueryUpdate::Kind::kTerminate:
-          if (!registered(u.id)) {
-            return Status::NotFound("terminate for unknown query");
-          }
-          overlay[u.id] = false;
-          break;
-        case QueryUpdate::Kind::kMove:
-          if (!registered(u.id)) {
-            return Status::NotFound("move for unknown query");
-          }
-          CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-              u.pos, network_.NumEdges(), "query move position"));
-          break;
-        case QueryUpdate::Kind::kInstall:
-          if (registered(u.id)) {
-            return Status::AlreadyExists("query id already monitored");
-          }
-          if (u.k < 1) return Status::InvalidArgument("k must be >= 1");
-          CKNN_RETURN_NOT_OK(ValidateIncomingPoint(
-              u.pos, network_.NumEdges(), "query position"));
-          overlay[u.id] = true;
-          break;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-void MonitoringServer::ApplyObjectUpdates(const UpdateBatch& aggregated) {
-  // Stage 3: apply object updates to the shared table exactly once. The
-  // shards run in shared-table mode and only route these updates through
-  // their maintenance structures; during the parallel phase the table is
-  // read-only.
-  for (const ObjectUpdate& u : aggregated.objects) {
+  // The shards run in shared-table mode and only route these updates
+  // through their maintenance structures; during the parallel phase the
+  // table is read-only.
+  for (const ObjectUpdate& u : folded.objects) {
     CKNN_CHECK(objects_.Apply(u).ok());
   }
-}
-
-Status MonitoringServer::SerialTick(const UpdateBatch& batch) {
-  // Stage 1: aggregate once (Section 4.5 preprocessing).
-  UpdateBatch aggregated = AggregateBatch(batch);
-  // Stage 2: validate against the shared tables before anything mutates
-  // state (the engines CKNN_CHECK internally).
-  CKNN_RETURN_NOT_OK(ValidateAggregated(aggregated));
-  StripCancelledObjectChains(&aggregated);
-  // Stage 3.
-  ApplyObjectUpdates(aggregated);
-  // Stages 4+5: per-shard maintenance (parallel when num_shards > 1),
-  // statuses merged in shard order. Stage-2 validation makes a shard
-  // failure unreachable; were one to slip through anyway, the table would
-  // already be mutated with the engines unrouted, so a desynced-state
-  // Status must not escape as if the server were still usable.
-  const Status shard_status = shards_.ProcessTimestamp(aggregated);
-  CKNN_CHECK(shard_status.ok());
+  if (pipeline_depth_ == 1) {
+    const Status processed = shards_.ProcessTimestamp(folded);
+    CKNN_CHECK(processed.ok());
+  } else {
+    // BeginProcessTimestamp copies the batch into per-shard scratch, so
+    // the folded batch does not need to outlive this call.
+    shards_.BeginProcessTimestamp(folded);
+  }
   ++timestamp_;
-  return Status::OK();
 }
 
 Status MonitoringServer::SubmitBatch(const UpdateBatch& batch) {
-  if (pipeline_depth_ == 1) return SerialTick(batch);
-  // Depth 2: stages 1–2 of this tick run here, on the submitting thread,
-  // while the previous tick's shards are still maintaining on the pool
-  // workers (docs/pipeline.md).
-  UpdateBatch prepared = AggregateOverlapped(batch);
-  CKNN_RETURN_NOT_OK(ValidateAggregated(prepared));
-  StripCancelledObjectChains(&prepared);
-  // Apply barrier: the shared table may only mutate once the in-flight
-  // tick has fully retired (same CKNN_CHECK promotion as SerialTick).
-  if (shards_.InFlight()) {
-    const Status shard_status = shards_.WaitProcessTimestamp();
-    // cknn-lint: allow(abort) bad input is bisected to Status pre-tick; a failed tick is corrupted engine state
-    CKNN_CHECK(shard_status.ok());
-  }
-  ApplyObjectUpdates(prepared);
-  // BeginProcessTimestamp copies the batch into per-shard scratch, so the
-  // prepared batch does not need to outlive this call.
-  shards_.BeginProcessTimestamp(prepared);
-  ++timestamp_;
+  const Fold fold = FoldBatch(batch, this);
+  if (!fold.verdicts.empty()) return fold.verdicts.front().status;
+  Commit(fold.batch);
   return Status::OK();
+}
+
+std::vector<MonitoringServer::Verdict> MonitoringServer::SubmitValid(
+    const UpdateBatch& batch) {
+  Fold fold = FoldBatch(batch, this);
+  const std::size_t updates =
+      batch.objects.size() + batch.queries.size() + batch.edges.size();
+  if (fold.verdicts.size() < updates) Commit(fold.batch);
+  return std::move(fold.verdicts);
 }
 
 Status MonitoringServer::Drain() {

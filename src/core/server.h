@@ -1,6 +1,7 @@
 #ifndef CKNN_CORE_SERVER_H_
 #define CKNN_CORE_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "src/graph/road_network.h"
 #include "src/spatial/pmr_quadtree.h"
 #include "src/util/result.h"
+#include "src/util/status.h"
 
 namespace cknn {
 
@@ -20,24 +22,28 @@ namespace cknn {
 /// object table, and the monitored queries — partitioned across one or
 /// more worker shards (see src/core/sharding.h and docs/sharding.md).
 ///
-/// Per timestamp, clients feed the server one `UpdateBatch`; `Tick` runs a
+/// Per timestamp, clients feed the server one `UpdateBatch`; a tick runs a
 /// deterministic pipeline:
-///  1. aggregate the batch once (Section 4.5's preprocessing step),
-///  2. validate it against the shared tables,
-///  3. apply the object updates to the shared object table,
-///  4. broadcast object/edge updates — and route query updates — to the
+///  1. fold the batch in one validating pass (Section 4.5's preprocessing
+///     step): every update is judged against the tables as a sequential
+///     one-update-per-tick replay would see them, a valid one folds into
+///     its entity's net update, a refused one gets a `Verdict`,
+///  2. apply the folded object updates to the shared object table,
+///  3. broadcast object/edge updates — and route query updates — to the
 ///     shards, which run their per-shard maintenance in parallel,
-///  5. merge shard statuses/metrics in shard order.
-/// With the default single shard this degenerates to the serial algorithm
-/// of the paper; with `num_shards > 1` per-query results are identical
-/// (same bytes) for IMA/OVH and identical within the conformance distance
-/// tolerance for GMA, whose active-node grouping is shard-local
+///  4. merge shard statuses/metrics in shard order.
+/// `Tick`/`SubmitBatch` are all-or-nothing (any verdict rejects the whole
+/// batch); `SubmitValid` commits the valid remainder and returns the
+/// verdicts. With the default single shard this degenerates to the serial
+/// algorithm of the paper; with `num_shards > 1` per-query results are
+/// identical (same bytes) for IMA/OVH and identical within the conformance
+/// distance tolerance for GMA, whose active-node grouping is shard-local
 /// (docs/sharding.md).
 ///
 /// With `pipeline_depth == 2` the server additionally exposes asynchronous
-/// ingest (`SubmitBatch`/`Drain`, docs/pipeline.md): stages 1–2 of tick
-/// t+1 run on the submitting thread while the shards maintain tick t on
-/// the pool workers, with a strict apply barrier (stage 3 waits for the
+/// ingest (`SubmitBatch`/`Drain`, docs/pipeline.md): stage 1 of tick t+1
+/// runs on the submitting thread while the shards maintain tick t on the
+/// pool workers, with a strict apply barrier (stage 2 waits for the
 /// in-flight tick) keeping every result byte-identical to serial
 /// execution. `pipeline_depth == 1` is the serial degenerate case, where
 /// `SubmitBatch` is `Tick`.
@@ -61,19 +67,37 @@ class MonitoringServer {
   MonitoringServer(const MonitoringServer&) = delete;
   MonitoringServer& operator=(const MonitoringServer&) = delete;
 
-  /// Processes one timestamp of updates (aggregating duplicates per
-  /// entity) and advances the clock. Equivalent to `SubmitBatch` followed
-  /// by `Drain`, at every pipeline depth.
+  /// One refused update: which stream of the submitted batch, its index
+  /// in that stream, and the error a sequential one-update-per-tick
+  /// replay of the batch returns for it.
+  struct Verdict {
+    enum class Stream { kObjects, kQueries, kEdges };
+    Stream stream = Stream::kObjects;
+    std::size_t index = 0;
+    Status status;
+  };
+
+  /// Processes one timestamp of updates (folding duplicates per entity)
+  /// and advances the clock. Equivalent to `SubmitBatch` followed by
+  /// `Drain`, at every pipeline depth.
   Status Tick(const UpdateBatch& batch);
 
-  /// Submits one timestamp of updates. At depth 1 this is `Tick`. At
-  /// depth 2 it aggregates and validates the batch on the calling thread
-  /// — overlapping the in-flight tick's shard maintenance — then waits
-  /// for that tick (the apply barrier), applies the object updates, and
-  /// starts this tick's maintenance detached before returning. Validation
-  /// errors are reported synchronously and leave the server exactly as if
-  /// the call had not been made (any in-flight tick keeps running).
+  /// Submits one timestamp of updates, all or nothing: if any update is
+  /// refused, returns the first verdict (objects, then queries, then
+  /// edges) and leaves the server exactly as if the call had not been made
+  /// (any in-flight tick keeps running). At depth 1 this is `Tick`. At
+  /// depth 2 the fold runs on the calling thread — overlapping the
+  /// in-flight tick's shard maintenance — then the call waits for that
+  /// tick (the apply barrier), applies the object updates, and starts this
+  /// tick's maintenance detached before returning.
   Status SubmitBatch(const UpdateBatch& batch);
+
+  /// Submits the valid updates of `batch` as one tick — none if no update
+  /// is valid — and returns the verdicts of the refused ones, in stream
+  /// order. The tick carries the net effect a sequential
+  /// one-update-per-tick replay of the batch has: there, too, a refused
+  /// update changes nothing.
+  std::vector<Verdict> SubmitValid(const UpdateBatch& batch);
 
   /// Blocks until no tick is in flight. Must be called (or implied via
   /// `Tick`) before reading results, metrics, or tables.
@@ -146,45 +170,37 @@ class MonitoringServer {
   /// Collapses multiple updates per object/query/edge into at most one, as
   /// required by the algorithms (Section 4.5) — except that a terminated
   /// and re-installed query collapses to a terminate immediately followed
-  /// by an install (see Monitor::ProcessTimestamp), that an object
-  /// chain whose intermediate old positions are inconsistent is emitted
-  /// raw in full, and that a chain which appears and disappears within
-  /// the timestamp folds to a retained {nullopt, nullopt} slot — both so
-  /// stage-2 validation rejects the batch the same way a sequential
-  /// replay would (the server strips the validated no-op slots before
-  /// routing). Exposed for testing.
+  /// by an install (see Monitor::ProcessTimestamp). Entities keep their
+  /// first-appearance order. This is the tick's validating fold without
+  /// the server's tables: each entity's state before the batch is taken
+  /// from its own first update, and updates the fold refuses are dropped.
+  /// Exposed for testing and benchmarking.
   static UpdateBatch AggregateBatch(const UpdateBatch& batch);
 
  private:
-  /// \name The three independent aggregation folds (`AggregateBatch` runs
-  /// them serially; the pipelined prepare fans them out on the shard
-  /// pool). Each reads one stream of `batch` and writes one stream of the
-  /// output.
-  /// @{
-  static void AggregateObjects(const UpdateBatch& batch,
-                               std::vector<ObjectUpdate>* out);
-  static void AggregateQueries(const UpdateBatch& batch,
-                               std::vector<QueryUpdate>* out);
-  static void AggregateEdges(const UpdateBatch& batch,
-                             std::vector<EdgeUpdate>* out);
-  /// @}
+  /// The folded batch and the verdicts of one validating pass.
+  struct Fold {
+    UpdateBatch batch;
+    std::vector<Verdict> verdicts;
+  };
 
-  /// AggregateBatch with the folds fanned out across the shard pool
-  /// (falls back to the serial folds when there is no pool).
-  UpdateBatch AggregateOverlapped(const UpdateBatch& batch);
+  /// Stage 1: reads each stream of `batch` once and judges every update
+  /// against one overlay — `tables`' object table, caller-side query
+  /// registry and edge count, plus each entity's running state in the
+  /// batch. A valid update folds into its entity's net update; a refused
+  /// one gets a verdict and leaves the running state untouched, as a
+  /// sequential replay would. With `tables == nullptr` an entity's state
+  /// before the batch comes from its first update (`AggregateBatch`).
+  /// Read-only, so safe while a detached tick is in flight: it reads only
+  /// the object table (read-only during the parallel phase), the network
+  /// topology, and the shard set's caller-side query registry.
+  static Fold FoldBatch(const UpdateBatch& batch,
+                        const MonitoringServer* tables);
 
-  /// Stage 2: validates an aggregated batch against the shared tables
-  /// (with per-entity overlays for within-batch chains) without mutating
-  /// anything. Safe to run while a detached tick is in flight: it reads
-  /// only the object table (read-only during the parallel phase), the
-  /// network topology, and the shard set's caller-side query registry.
-  Status ValidateAggregated(const UpdateBatch& aggregated) const;
-
-  /// Stage 3: applies the batch's object updates to the shared table.
-  void ApplyObjectUpdates(const UpdateBatch& aggregated);
-
-  /// The depth-1 synchronous pipeline (stages 1–5 in one call).
-  Status SerialTick(const UpdateBatch& batch);
+  /// Stages 2–4 for a folded batch: the apply barrier, the object-table
+  /// apply, and the shard maintenance (detached at depth 2); advances the
+  /// clock.
+  void Commit(const UpdateBatch& folded);
 
   RoadNetwork network_;
   ObjectTable objects_;

@@ -38,7 +38,7 @@ namespace cknn {
 ///    O(8 bytes/edge) per extra shard instead of a full clone.
 ///    Shard 0 monitors the server's primary network in place.
 ///
-/// Per tick the server aggregates the batch once, `Partition` fans the
+/// Per tick the server folds the batch once, `Partition` fans the
 /// query updates out to their owning shards (object and edge updates are
 /// broadcast), the shards run their maintenance in parallel on a fixed
 /// thread pool, and statuses/metrics are merged in shard order — so the
@@ -83,7 +83,7 @@ class ShardSet {
     return static_cast<int>(id % shards_.size());
   }
 
-  /// Runs one timestamp of (already aggregated and validated) updates
+  /// Runs one timestamp of (already folded and validated) updates
   /// through every shard — in parallel when more than one shard exists —
   /// and returns the first non-OK shard status in shard order. The
   /// caller has already applied the batch's object updates to the shared
@@ -168,11 +168,6 @@ class ShardSet {
 
   Monitor& monitor(int shard) { return *shards_[shard].monitor; }
   const Monitor& monitor(int shard) const { return *shards_[shard].monitor; }
-
-  /// The worker pool (nullptr for a serial, non-pipelined single shard).
-  /// Exposed so the server can overlap its aggregation folds with a
-  /// detached tick (`ThreadPool::RunAll` composes with `Begin`/`Wait`).
-  ThreadPool* pool() { return pool_.get(); }
 
  private:
   struct Shard {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/core/object_table.h"
@@ -220,17 +219,19 @@ void ServingFrontEnd::ProcessSlice(std::vector<Entry> slice) {
                               built.batch.queries.size() +
                               built.batch.edges.size();
   if (updates > 0) {
-    Status submitted = server_->SubmitBatch(built.batch);
-    ++ticks_;
-    if (submitted.ok()) {
-      applied_ += updates;
-    } else {
-      last_error_ = submitted;
-      BisectRejectedLocked(built.batch);
-    }
+    // One tick for the window's valid updates; the server's fold judges
+    // every update and returns a verdict per refused one, so one bad
+    // request never vetoes its neighbors.
+    const std::uint64_t before = server_->timestamp();
+    const std::vector<MonitoringServer::Verdict> verdicts =
+        server_->SubmitValid(built.batch);
+    ticks_ += server_->timestamp() - before;
+    rejected_invalid_ += verdicts.size();
+    applied_ += updates - verdicts.size();
+    if (!verdicts.empty()) last_error_ = verdicts.back().status;
   }
   // Latency retirement under the depth-2 pipeline: whatever was pending
-  // completed at the apply barrier inside SubmitBatch; this slice's tick
+  // completed at the apply barrier inside SubmitValid; this slice's tick
   // is visible once the *next* barrier (or a drain) passes.
   const Clock::time_point now = Clock::now();
   RetirePendingLocked(now);
@@ -243,39 +244,6 @@ void ServingFrontEnd::ProcessSlice(std::vector<Entry> slice) {
     for (const Entry& entry : slice) {
       latency_.Add(Seconds(now - entry.enqueued));
     }
-  }
-}
-
-void ServingFrontEnd::BisectRejectedLocked(const UpdateBatch& batch) {
-  // The engine rejected the coalesced batch as a whole (validation leaves
-  // it untouched). Re-apply one update per tick, in canonical stream
-  // order, so the bad update is isolated and counted instead of vetoing
-  // its neighbors.
-  UpdateBatch single;
-  auto apply = [&] {
-    Status status = server_->Tick(single);
-    ++ticks_;
-    if (status.ok()) {
-      ++applied_;
-    } else {
-      ++rejected_invalid_;
-      last_error_ = status;
-    }
-  };
-  for (const ObjectUpdate& u : batch.objects) {
-    single.objects.assign(1, u);
-    apply();
-    single.objects.clear();
-  }
-  for (const QueryUpdate& u : batch.queries) {
-    single.queries.assign(1, u);
-    apply();
-    single.queries.clear();
-  }
-  for (const EdgeUpdate& u : batch.edges) {
-    single.edges.assign(1, u);
-    apply();
-    single.edges.clear();
   }
 }
 
@@ -326,99 +294,54 @@ ServingFrontEnd::BatchBuild ServingFrontEnd::BuildBatch(
   std::stable_sort(queries.begin(), queries.end(), by_id);
   std::stable_sort(edges.begin(), edges.end(), by_id);
 
-  // Objects: the wire carries no old position, so resolve it against the
-  // shared table (current as of every submitted tick — the pipeline
-  // applies object updates at the submit barrier) plus a within-batch
-  // overlay for chains. Requests that cannot validate are dropped here,
-  // exactly as a sequential replay would reject them.
-  std::unordered_map<ObjectId, std::optional<NetworkPoint>> overlay;
-  for (const ServeRequest& r : objects) {
+  // Objects: the wire carries no old position, so translate each request
+  // against the id's running position — the shared table's entry (current
+  // as of every submitted tick: the pipeline applies object updates at the
+  // submit barrier) for the first request of a run of equal ids, then the
+  // previous request's target. The requests that cannot be translated —
+  // a move or remove of an absent id, an add of a present one — are
+  // dropped and counted here; the server's fold judges the rest.
+  std::optional<NetworkPoint> current;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    const ServeRequest& r = objects[i];
     const ObjectId id = static_cast<ObjectId>(r.id);
-    std::optional<NetworkPoint> current;
-    auto it = overlay.find(id);
-    if (it != overlay.end()) {
-      current = it->second;
-    } else {
-      Result<NetworkPoint> pos = server.objects().Position(id);
-      if (pos.ok()) current = *pos;
+    if (i == 0 || static_cast<ObjectId>(objects[i - 1].id) != id) {
+      const NetworkPoint* pos = server.objects().Find(id);
+      current = pos != nullptr ? std::optional<NetworkPoint>(*pos)
+                               : std::nullopt;
     }
-    switch (r.op) {
-      case Op::kAddObject:
-        if (current.has_value()) {
-          ++out.rejected;  // Already present.
-          continue;
-        }
-        out.batch.objects.push_back(ObjectUpdate{id, std::nullopt, r.pos});
-        break;
-      case Op::kMoveObject:
-        if (!current.has_value()) {
-          ++out.rejected;  // Unknown object.
-          continue;
-        }
-        out.batch.objects.push_back(ObjectUpdate{id, current, r.pos});
-        break;
-      case Op::kRemoveObject:
-        if (!current.has_value()) {
-          ++out.rejected;  // Unknown object.
-          continue;
-        }
-        out.batch.objects.push_back(
-            ObjectUpdate{id, current, std::nullopt});
-        overlay[id] = std::nullopt;
-        continue;
-      default:
-        continue;
+    // An add needs an absent id; a move or a remove, a present one.
+    if ((r.op == Op::kAddObject) == current.has_value()) {
+      ++out.rejected;
+      continue;
     }
-    overlay[id] = r.pos;
+    std::optional<NetworkPoint> target;
+    if (r.op != Op::kRemoveObject) target = r.pos;
+    out.batch.objects.push_back(ObjectUpdate{id, current, target});
+    current = target;
   }
 
-  // Queries: validate against the caller-side registry (safe to consult
-  // mid-flight) plus a within-batch overlay; terminate-then-reinstall
-  // chains are legal and fold downstream.
-  std::unordered_map<QueryId, bool> registered;
-  auto is_registered = [&](QueryId id) {
-    auto it = registered.find(id);
-    if (it != registered.end()) return it->second;
-    return server.shards().IsRegistered(id);
-  };
+  // Queries and edges pass through; the server's fold judges them.
   for (const ServeRequest& r : queries) {
     const QueryId id = static_cast<QueryId>(r.id);
     switch (r.op) {
       case Op::kInstallQuery:
-        if (is_registered(id)) {
-          ++out.rejected;  // Double install.
-          continue;
-        }
         out.batch.queries.push_back(
             QueryUpdate{id, QueryUpdate::Kind::kInstall, r.pos, r.k});
-        registered[id] = true;
         break;
       case Op::kMoveQuery:
-        if (!is_registered(id)) {
-          ++out.rejected;  // Unknown query.
-          continue;
-        }
         out.batch.queries.push_back(
             QueryUpdate{id, QueryUpdate::Kind::kMove, r.pos, 1});
         break;
       case Op::kTerminateQuery:
-        if (!is_registered(id)) {
-          ++out.rejected;  // Unknown query.
-          continue;
-        }
         out.batch.queries.push_back(
             QueryUpdate{id, QueryUpdate::Kind::kTerminate, NetworkPoint{},
                         1});
-        registered[id] = false;
         break;
       default:
         break;
     }
   }
-
-  // Edges pass through; the engine validates ids and weights (a rejected
-  // batch falls back to per-update bisection, so a bad weight update is
-  // dropped alone).
   for (const ServeRequest& r : edges) {
     out.batch.edges.push_back(
         EdgeUpdate{static_cast<EdgeId>(r.id), r.weight});

@@ -78,18 +78,19 @@ struct ServingStats {
 };
 
 /// \brief Multi-producer ingest front end over `MonitoringServer`'s
-/// `SubmitBatch`/`Drain` pipeline (docs/serving.md).
+/// `SubmitValid`/`Drain` pipeline (docs/serving.md).
 ///
 /// Producers push `ServeRequest`s into a bounded MPSC queue from any
 /// number of threads; a batching window (the pump thread started by
 /// `Start`, or a synchronous `Flush`) coalesces everything queued into one
 /// canonical per-tick `UpdateBatch` and feeds it to the engine, which
-/// aggregates per entity exactly as `Tick` would. Admission control is
-/// explicit: `TrySubmit` returns ResourceExhausted when the queue is full,
-/// `Submit` blocks until space frees up, and nothing in the client-facing
-/// surface can trip an internal `CKNN_CHECK` — reads go through the
-/// server's non-aborting `Try*` accessors and per-request validation
-/// failures are counted and dropped, never fatal.
+/// folds it per entity exactly as `Tick` would and commits the valid
+/// updates as one tick. Admission control is explicit: `TrySubmit`
+/// returns ResourceExhausted when the queue is full, `Submit` blocks until
+/// space frees up, and nothing in the client-facing surface can trip an
+/// internal `CKNN_CHECK` — reads go through the server's non-aborting
+/// `Try*` accessors and refused updates come back as per-update verdicts
+/// that are counted and dropped, never fatal.
 ///
 /// Determinism: the batch built from a drained queue slice stable-sorts
 /// each stream by entity id, so any interleaving of producers that
@@ -108,7 +109,8 @@ class ServingFrontEnd {
   /// Outcome of folding one queue slice into a tick batch.
   struct BatchBuild {
     UpdateBatch batch;
-    /// Requests dropped at build time (unknown entity, double install...).
+    /// Object requests dropped at build time (untranslatable: unknown id
+    /// moved or removed, present id added).
     std::uint64_t rejected = 0;
   };
 
@@ -162,11 +164,13 @@ class ServingFrontEnd {
   Status last_error() const CKNN_EXCLUDES(engine_mu_);
 
   /// Folds `requests` (arrival order) into one canonical tick batch
-  /// against `server`'s current tables: streams split per kind, stable-
-  /// sorted by entity id, object old-positions resolved through the table
-  /// plus a within-batch overlay, and requests that cannot possibly
-  /// validate (unknown object/query, double add/install) dropped and
-  /// counted. Static so tests can replay the exact serving fold serially.
+  /// against `server`'s current object table: streams split per kind,
+  /// stable-sorted by entity id, and object old positions translated from
+  /// the table plus each id's earlier requests. The object requests that
+  /// cannot be translated (move/remove of an absent id, add of a present
+  /// one) are dropped and counted; everything else is judged by the
+  /// server's fold. Static so tests can replay the exact serving fold
+  /// serially.
   static BatchBuild BuildBatch(const std::vector<ServeRequest>& requests,
                                const MonitoringServer& server);
 
@@ -182,15 +186,10 @@ class ServingFrontEnd {
   /// queue_mu_ held.
   std::vector<Entry> TakeSliceLocked() CKNN_REQUIRES(queue_mu_);
 
-  /// Folds one slice into the engine: build, submit, bisect on rejection,
-  /// retire latencies. Takes engine_mu_.
+  /// Folds one slice into the engine: build, submit the valid updates as
+  /// one tick, count the verdicts, retire latencies. Takes engine_mu_.
   void ProcessSlice(std::vector<Entry> slice)
       CKNN_EXCLUDES(queue_mu_, engine_mu_);
-
-  /// Re-applies a rejected batch one update per tick so one bad update
-  /// cannot veto its neighbors. engine_mu_ held.
-  void BisectRejectedLocked(const UpdateBatch& batch)
-      CKNN_REQUIRES(engine_mu_);
 
   /// Drains the engine and retires pending latencies. engine_mu_ held.
   Status DrainEngineLocked() CKNN_REQUIRES(engine_mu_);

@@ -305,5 +305,38 @@ TEST(GmaTest, ShardedServerCountsSequenceTableOnce) {
   EXPECT_GE(mem8, serial.MonitorMemoryBytes());
 }
 
+TEST(GmaTest, TerminationLowersNodeKAfterTheTablesMove) {
+  // Regression: a termination that lowers an active node's k used to
+  // rebuild the node's NN set before the engine routed the timestamp's
+  // object updates, while in shared-table mode the object table already
+  // held the new positions. Object 2 moves from edge 19 (10-14) to edge
+  // 20 (11-15) as query 1 (k = 3) leaves the sequence it shares with
+  // query 0 (k = 2); node 14's rebuild uncovered edge 20 and lost the
+  // object, so query 0 saw it via node 10 at 2.1722 instead of 1.8278.
+  // Either update alone, or the two in separate ticks, was always right.
+  UpdateBatch setup;
+  setup.objects.push_back(
+      ObjectUpdate{1, std::nullopt, NetworkPoint{22, 0.9747}});
+  setup.objects.push_back(
+      ObjectUpdate{2, std::nullopt, NetworkPoint{19, 0.4354}});
+  setup.queries.push_back(
+      QueryUpdate{0, QueryUpdate::Kind::kInstall, NetworkPoint{19, 0.2817}, 2});
+  setup.queries.push_back(
+      QueryUpdate{1, QueryUpdate::Kind::kInstall, NetworkPoint{19, 0.5133}, 3});
+  UpdateBatch batch;
+  batch.objects.push_back(
+      ObjectUpdate{2, NetworkPoint{19, 0.4354}, NetworkPoint{20, 0.8905}});
+  batch.queries.push_back(
+      QueryUpdate{1, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
+  MonitoringServer gma(testing::MakeGrid(4), Algorithm::kGma);
+  MonitoringServer ovh(testing::MakeGrid(4), Algorithm::kOvh);
+  for (MonitoringServer* server : {&gma, &ovh}) {
+    ASSERT_TRUE(server->Tick(setup).ok());
+    ASSERT_TRUE(server->Tick(batch).ok());
+  }
+  ASSERT_NE(gma.ResultOf(0), nullptr);
+  testing::ExpectSameDistances(*gma.ResultOf(0), *ovh.ResultOf(0));
+}
+
 }  // namespace
 }  // namespace cknn

@@ -7,11 +7,17 @@
 // that falsified the pre-fix collapse rules, which dropped the terminate
 // of a terminate→reinstall chain and re-installed a still-registered id.
 //
+// The same differential check covers rejection: an invalid update must be
+// refused by the aggregated tick with the code the raw replay hits, and
+// SubmitValid's per-update verdicts must name exactly the updates the raw
+// replay rejects.
+//
 // Runs under the `fuzz` label; seeds via CKNN_FUZZ_SEED, iteration budget
 // via CKNN_FUZZ_SCALE (tests/fuzz_util.h).
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -96,6 +102,26 @@ void AppendRandomUpdate(Rng* rng, std::size_t num_edges, Model* model,
       break;
     }
   }
+}
+
+/// A first tick: `objects` objects and three queries (k in 1..3) at
+/// random points, mirrored into `model`.
+UpdateBatch RandomSetup(Rng* rng, std::size_t num_edges, ObjectId objects,
+                        Model* model) {
+  UpdateBatch setup;
+  for (ObjectId id = 0; id < objects; ++id) {
+    const NetworkPoint pos = RandomPoint(rng, num_edges);
+    setup.objects.push_back(ObjectUpdate{id, std::nullopt, pos});
+    model->objects.emplace(id, pos);
+  }
+  for (QueryId id = 0; id < 3; ++id) {
+    const Model::Query q{RandomPoint(rng, num_edges),
+                         1 + static_cast<int>(rng->NextIndex(3))};
+    setup.queries.push_back(
+        QueryUpdate{id, QueryUpdate::Kind::kInstall, q.pos, q.k});
+    model->queries.emplace(id, q);
+  }
+  return setup;
 }
 
 /// Every query of `model` must expose identical results on both servers.
@@ -291,6 +317,193 @@ TEST_P(AggregateFuzzTest, InvalidObjectChainsRejectBothWays) {
     EXPECT_EQ(agg_status.code(), raw_status.code())
         << "aggregated: " << agg_status.ToString()
         << " raw: " << raw_status.ToString();
+  }
+}
+
+TEST_P(AggregateFuzzTest, InvalidQueryAndEdgeChainsRejectBothWays) {
+  // Differential rejection for the query and edge streams: one bad update
+  // followed by a later update of the same entity must not be folded
+  // away (an earlier fold kept only a chain's last move or weight, so
+  // every shape below was accepted whole). The single aggregated tick
+  // must reject with the code the one-update-per-tick replay hits.
+  const int cases = testing::FuzzIterations(6, 60);
+  for (int c = 0; c < cases; ++c) {
+    const std::uint64_t seed = testing::FuzzSeed(5000 + c);
+    const int shape = c % 6;
+    SCOPED_TRACE("case " + std::to_string(c) + " shape " +
+                 std::to_string(shape) + " seed " + std::to_string(seed));
+    Rng rng(seed);
+    RoadNetwork grid = testing::MakeGrid(4);
+    const std::size_t num_edges = grid.NumEdges();
+    MonitoringServer raw(testing::MakeGrid(4), GetParam());
+    MonitoringServer aggregated(std::move(grid), GetParam());
+    Model model;
+    const UpdateBatch setup = RandomSetup(&rng, num_edges, 5, &model);
+    ASSERT_TRUE(raw.Tick(setup).ok());
+    ASSERT_TRUE(aggregated.Tick(setup).ok());
+    // A valid chained prefix...
+    UpdateBatch batch;
+    const int updates = 3 + static_cast<int>(rng.NextIndex(10));
+    for (int u = 0; u < updates; ++u) {
+      AppendRandomUpdate(&rng, num_edges, &model, &batch);
+    }
+    // ...then one bad chain. `live` is a query registered at this point.
+    if (model.queries.empty()) {
+      const NetworkPoint pos = RandomPoint(&rng, num_edges);
+      batch.queries.push_back(
+          QueryUpdate{0, QueryUpdate::Kind::kInstall, pos, 1});
+      model.queries.emplace(0, Model::Query{pos, 1});
+    }
+    const QueryId live = model.queries.begin()->first;
+    const QueryId fresh = kNumQueryIds + 7;  // Never used by the model.
+    const EdgeId edge = static_cast<EdgeId>(rng.NextIndex(num_edges));
+    const QueryUpdate terminate{live, QueryUpdate::Kind::kTerminate,
+                                NetworkPoint{}, 0};
+    const QueryUpdate move{live, QueryUpdate::Kind::kMove,
+                           RandomPoint(&rng, num_edges), 0};
+    switch (shape) {
+      case 0:  // [terminate, move]: the move targets a dead query.
+        batch.queries.push_back(terminate);
+        batch.queries.push_back(move);
+        break;
+      case 1:  // [terminate, terminate].
+        batch.queries.push_back(terminate);
+        batch.queries.push_back(terminate);
+        break;
+      case 2:  // [install, terminate, move] of a new query.
+        batch.queries.push_back(QueryUpdate{
+            fresh, QueryUpdate::Kind::kInstall, RandomPoint(&rng, num_edges),
+            1});
+        batch.queries.push_back(
+            QueryUpdate{fresh, QueryUpdate::Kind::kTerminate, {}, 0});
+        batch.queries.push_back(QueryUpdate{fresh, QueryUpdate::Kind::kMove,
+                                            RandomPoint(&rng, num_edges), 0});
+        break;
+      case 3:  // [move to a NaN offset, move].
+        batch.queries.push_back(QueryUpdate{
+            live, QueryUpdate::Kind::kMove,
+            NetworkPoint{edge, std::numeric_limits<double>::quiet_NaN()}, 0});
+        batch.queries.push_back(move);
+        break;
+      case 4:  // Edge [NaN, 2.0].
+        batch.edges.push_back(
+            EdgeUpdate{edge, std::numeric_limits<double>::quiet_NaN()});
+        batch.edges.push_back(EdgeUpdate{edge, 2.0});
+        break;
+      default:  // Edge [-1.0, 2.0].
+        batch.edges.push_back(EdgeUpdate{edge, -1.0});
+        batch.edges.push_back(EdgeUpdate{edge, 2.0});
+        break;
+    }
+    const Status agg_status = aggregated.Tick(batch);
+    const std::vector<MonitoringServer::Verdict> raw_rejects =
+        testing::ReplayOneUpdatePerTick(batch, &raw);
+    ASSERT_EQ(raw_rejects.size(), 1u);
+    const Status& raw_status = raw_rejects[0].status;
+    ASSERT_FALSE(agg_status.ok()) << "raw: " << raw_status.ToString();
+    EXPECT_EQ(agg_status.code(), raw_status.code())
+        << "aggregated: " << agg_status.ToString()
+        << " raw: " << raw_status.ToString();
+  }
+}
+
+TEST_P(AggregateFuzzTest, ValidSubsetMatchesSequentialReplay) {
+  // The verdict contract: a valid batch with 1-3 bad updates of any kind
+  // injected, submitted once through SubmitValid, names exactly the
+  // updates a one-update-per-tick replay rejects, costs one tick, and
+  // leaves the state the replay leaves. A bad update changes nothing, so
+  // the valid updates around it stay valid wherever it lands.
+  const int cases = testing::FuzzIterations(6, 60);
+  for (int c = 0; c < cases; ++c) {
+    const std::uint64_t seed = testing::FuzzSeed(6000 + c);
+    SCOPED_TRACE("case " + std::to_string(c) + " seed " +
+                 std::to_string(seed));
+    Rng rng(seed);
+    RoadNetwork grid = testing::MakeGrid(4);
+    const std::size_t num_edges = grid.NumEdges();
+    MonitoringServer raw(testing::MakeGrid(4), GetParam());
+    MonitoringServer aggregated(std::move(grid), GetParam());
+    Model model;
+    const UpdateBatch setup = RandomSetup(&rng, num_edges, 4, &model);
+    ASSERT_TRUE(raw.Tick(setup).ok());
+    ASSERT_TRUE(aggregated.Tick(setup).ok());
+    UpdateBatch batch;
+    const int updates = 6 + static_cast<int>(rng.NextIndex(20));
+    for (int u = 0; u < updates; ++u) {
+      AppendRandomUpdate(&rng, num_edges, &model, &batch);
+    }
+    // Bad at any state: an old position no object holds (t > 1), a point
+    // off the network, k = 0, a NaN offset or weight, an unknown id.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const NetworkPoint off_network{static_cast<EdgeId>(num_edges + 3), 0.5};
+    const int bad = 1 + static_cast<int>(rng.NextIndex(3));
+    for (int b = 0; b < bad; ++b) {
+      const ObjectId object =
+          static_cast<ObjectId>(rng.NextIndex(kNumObjectIds + 2));
+      const QueryId query = static_cast<QueryId>(rng.NextIndex(kNumQueryIds));
+      const EdgeId edge = static_cast<EdgeId>(rng.NextIndex(num_edges));
+      const NetworkPoint wrong{edge, 2.0 + rng.NextDouble()};
+      const NetworkPoint p = RandomPoint(&rng, num_edges);
+      switch (rng.NextIndex(9)) {
+        case 0:
+          batch.objects.insert(
+              batch.objects.begin() + rng.NextIndex(batch.objects.size() + 1),
+              ObjectUpdate{object, wrong, p});
+          break;
+        case 1:
+          batch.objects.insert(
+              batch.objects.begin() + rng.NextIndex(batch.objects.size() + 1),
+              ObjectUpdate{kNumObjectIds + 9, std::nullopt, off_network});
+          break;
+        case 2:
+          batch.queries.insert(
+              batch.queries.begin() + rng.NextIndex(batch.queries.size() + 1),
+              QueryUpdate{query, QueryUpdate::Kind::kInstall, p, 0});
+          break;
+        case 3:
+          batch.queries.insert(
+              batch.queries.begin() + rng.NextIndex(batch.queries.size() + 1),
+              QueryUpdate{query, QueryUpdate::Kind::kMove,
+                          NetworkPoint{edge, nan}, 0});
+          break;
+        case 4:
+          batch.queries.insert(
+              batch.queries.begin() + rng.NextIndex(batch.queries.size() + 1),
+              QueryUpdate{kNumQueryIds + 9, QueryUpdate::Kind::kTerminate,
+                          NetworkPoint{}, 0});
+          break;
+        case 5:
+          batch.queries.insert(
+              batch.queries.begin() + rng.NextIndex(batch.queries.size() + 1),
+              QueryUpdate{kNumQueryIds + 9, QueryUpdate::Kind::kInstall,
+                          off_network, 1});
+          break;
+        case 6:
+          batch.edges.insert(
+              batch.edges.begin() + rng.NextIndex(batch.edges.size() + 1),
+              EdgeUpdate{edge, nan});
+          break;
+        case 7:
+          batch.edges.insert(
+              batch.edges.begin() + rng.NextIndex(batch.edges.size() + 1),
+              EdgeUpdate{edge, -1.0});
+          break;
+        default:
+          batch.edges.insert(
+              batch.edges.begin() + rng.NextIndex(batch.edges.size() + 1),
+              EdgeUpdate{static_cast<EdgeId>(num_edges), 1.0});
+          break;
+      }
+    }
+    const std::uint64_t before = aggregated.timestamp();
+    const std::vector<std::string> verdicts =
+        testing::VerdictLines(aggregated.SubmitValid(batch));
+    EXPECT_EQ(aggregated.timestamp(), before + 1);
+    const std::vector<std::string> raw_rejects =
+        testing::VerdictLines(testing::ReplayOneUpdatePerTick(batch, &raw));
+    EXPECT_EQ(raw_rejects.size(), static_cast<std::size_t>(bad));
+    EXPECT_EQ(verdicts, raw_rejects);
+    ExpectSameObservableState(model, raw, aggregated);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/server.h"
@@ -247,36 +248,67 @@ TEST_P(TickAggregationTest, DuplicateInstallOfNewQuerySurfacesAlreadyExists) {
   EXPECT_EQ(server->ResultOf(5), nullptr);
 }
 
-TEST(AggregateBatchTest, InconsistentObjectChainIsEmittedRawNotFolded) {
+TEST(AggregateBatchTest, InconsistentObjectChainIsRefusedNotFolded) {
   // insert@p1 -> move(old=p999 -> p2): the old position contradicts the
-  // running chain, so the fold must stop and emit the offending update
-  // verbatim (for stage-2 validation to reject) instead of laundering the
-  // pair into a single plausible insert@p2.
+  // running chain, so the fold must refuse the move — with the code a
+  // sequential replay hits — instead of laundering the pair into a single
+  // plausible insert@p2.
   UpdateBatch batch;
   batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.1}});
   batch.objects.push_back(
       ObjectUpdate{1, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
   const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 2u);
+  ASSERT_EQ(out.objects.size(), 1u);
   EXPECT_EQ(out.objects[0], batch.objects[0]);
-  EXPECT_EQ(out.objects[1], batch.objects[1]);
+
+  MonitoringServer all_or_nothing(testing::MakeGrid(4), Algorithm::kIma);
+  EXPECT_TRUE(all_or_nothing.Tick(batch).IsInvalidArgument());
+  EXPECT_FALSE(all_or_nothing.objects().Contains(1));
+
+  MonitoringServer server(testing::MakeGrid(4), Algorithm::kIma);
+  MonitoringServer replay(testing::MakeGrid(4), Algorithm::kIma);
+  const std::vector<std::string> verdicts =
+      testing::VerdictLines(server.SubmitValid(batch));
+  EXPECT_EQ(verdicts, std::vector<std::string>{"objects[1] InvalidArgument"});
+  EXPECT_EQ(verdicts, testing::VerdictLines(
+                          testing::ReplayOneUpdatePerTick(batch, &replay)));
+  EXPECT_EQ(server.objects().Position(1).value(), (NetworkPoint{0, 0.1}));
 }
 
-TEST(AggregateBatchTest, BrokenChainKeepsItsConsistentPrefixVerbatim) {
-  // insert -> delete -> inconsistent move: the prefix folds to a
-  // {nullopt, nullopt} no-op, but erasing it would delete the evidence
-  // the validator needs (the insert is where a sequential replay fails
-  // if the id already exists) — the whole chain must come out raw.
+TEST(AggregateBatchTest, BrokenChainIsRefusedWhereASequentialReplayFails) {
+  // insert -> delete -> inconsistent move. Where the id already exists, a
+  // sequential replay fails at the insert (AlreadyExists), so the fold
+  // must not cancel the insert+delete pair before judging it; where the
+  // id is new, the pair is a valid no-op and only the move fails.
   UpdateBatch batch;
   batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.1}});
   batch.objects.push_back(ObjectUpdate{1, NetworkPoint{0, 0.1}, std::nullopt});
   batch.objects.push_back(
       ObjectUpdate{1, NetworkPoint{9, 0.9}, NetworkPoint{0, 0.2}});
-  const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 3u);
-  EXPECT_EQ(out.objects[0], batch.objects[0]);
-  EXPECT_EQ(out.objects[1], batch.objects[1]);
-  EXPECT_EQ(out.objects[2], batch.objects[2]);
+  for (const bool present : {true, false}) {
+    SCOPED_TRACE(present ? "id present" : "id new");
+    MonitoringServer all_or_nothing(testing::MakeGrid(4), Algorithm::kIma);
+    MonitoringServer server(testing::MakeGrid(4), Algorithm::kIma);
+    MonitoringServer replay(testing::MakeGrid(4), Algorithm::kIma);
+    if (present) {
+      for (MonitoringServer* s : {&all_or_nothing, &server, &replay}) {
+        ASSERT_TRUE(s->AddObject(1, NetworkPoint{5, 0.5}).ok());
+      }
+    }
+    EXPECT_EQ(all_or_nothing.Tick(batch).code(),
+              present ? StatusCode::kAlreadyExists : StatusCode::kNotFound);
+    const std::vector<std::string> verdicts =
+        testing::VerdictLines(server.SubmitValid(batch));
+    const std::vector<std::string> expected =
+        present ? std::vector<std::string>{"objects[0] AlreadyExists",
+                                           "objects[1] InvalidArgument",
+                                           "objects[2] InvalidArgument"}
+                : std::vector<std::string>{"objects[2] NotFound"};
+    EXPECT_EQ(verdicts, expected);
+    EXPECT_EQ(verdicts, testing::VerdictLines(
+                            testing::ReplayOneUpdatePerTick(batch, &replay)));
+    EXPECT_EQ(server.objects().Contains(1), present);
+  }
 }
 
 TEST(AggregateBatchTest, NoOpObjectUpdateDoesNotPoisonTheChain) {

@@ -129,8 +129,8 @@ TEST_P(ServerPipelineTest, RejectedSubmitLeavesThePipelineIntact) {
       QueryUpdate{9, QueryUpdate::Kind::kTerminate, NetworkPoint{}, 0});
   EXPECT_TRUE(server.SubmitBatch(invalid).IsNotFound());
   EXPECT_EQ(server.timestamp(), at_submit);
-  // NaN offsets and weights are rejected in-pipeline too (stage 2 runs on
-  // the submitting thread).
+  // NaN offsets and weights are rejected in-pipeline too (the fold runs
+  // on the submitting thread).
   UpdateBatch nan_weight;
   nan_weight.edges.push_back(
       EdgeUpdate{0, std::numeric_limits<double>::quiet_NaN()});

@@ -1,6 +1,8 @@
 #include "src/core/server.h"
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -75,7 +77,7 @@ TEST(ServerTest, ValidationRejectsBadUpdates) {
 
 TEST(ServerTest, ValidationRejectsNonFiniteEdgeWeights) {
   // Regression: `u.new_weight < 0.0` is false for NaN, so a NaN weight
-  // slid through stage-2 validation into every downstream `<` comparison.
+  // slid through validation into every downstream `<` comparison.
   MonitoringServer server(testing::MakeGrid(3), Algorithm::kOvh);
   for (const double weight : {kNan, kInf, -kInf}) {
     UpdateBatch batch;
@@ -184,14 +186,14 @@ TEST(ServerTest, AggregationDoesNotLaunderInconsistentObjectChains) {
 }
 
 TEST(ServerTest, ShardFailureAfterValidationAborts) {
-  // Stage-2 validation makes a stage-4 shard failure unreachable; were
+  // The validating fold makes a shard failure unreachable; were
   // one to slip through, the shared table would already be mutated with
   // the engines unrouted. That residual path is a CKNN_CHECK, not a
   // Status pretending the server is still usable. Reproduced by
   // desynchronizing the engine behind the server's back through the
   // diagnostics accessor: terminate a query directly in the monitor, then
-  // feed the server a move for it — validation (whose registry still
-  // carries the query) passes, the engine rejects, the server aborts.
+  // feed the server a move for it — the fold (whose registry still
+  // carries the query) passes it, the engine rejects, the server aborts.
   EXPECT_DEATH(
       {
         MonitoringServer server(testing::MakeGrid(3), Algorithm::kIma);
@@ -251,17 +253,29 @@ TEST(ServerTest, AggregateMergesObjectUpdates) {
   EXPECT_DOUBLE_EQ(out.objects[0].new_pos->t, 0.3);
 }
 
-TEST(ServerTest, AggregateCancelsAppearDisappearIntoARetainedNoOp) {
-  // The pair folds to a {nullopt, nullopt} slot that AggregateBatch keeps
-  // as evidence the chain began with an insert (validation rejects it
-  // when the id already exists); the server drops it after validation.
+TEST(ServerTest, AggregateCancelsAppearDisappear) {
+  // An object that appears and disappears within one timestamp is a net
+  // no-op, so the fold drops the chain. Each link is judged against the
+  // table before it folds: on a server that already holds the id, the
+  // insert and then the delete's old position are refused, exactly where
+  // a sequential replay fails.
   UpdateBatch batch;
   batch.objects.push_back(ObjectUpdate{1, std::nullopt, NetworkPoint{0, 0.2}});
   batch.objects.push_back(ObjectUpdate{1, NetworkPoint{0, 0.2}, std::nullopt});
-  const UpdateBatch out = MonitoringServer::AggregateBatch(batch);
-  ASSERT_EQ(out.objects.size(), 1u);
-  EXPECT_FALSE(out.objects[0].old_pos.has_value());
-  EXPECT_FALSE(out.objects[0].new_pos.has_value());
+  EXPECT_TRUE(MonitoringServer::AggregateBatch(batch).objects.empty());
+
+  MonitoringServer server(testing::MakeGrid(3), Algorithm::kOvh);
+  EXPECT_TRUE(server.SubmitValid(batch).empty());
+  EXPECT_EQ(server.timestamp(), 1u);
+  EXPECT_FALSE(server.objects().Contains(1));
+
+  ASSERT_TRUE(server.AddObject(1, NetworkPoint{0, 0.5}).ok());
+  EXPECT_EQ(testing::VerdictLines(server.SubmitValid(batch)),
+            (std::vector<std::string>{"objects[0] AlreadyExists",
+                                      "objects[1] InvalidArgument"}));
+  // Nothing valid remained, so no tick was submitted.
+  EXPECT_EQ(server.timestamp(), 2u);
+  EXPECT_EQ(server.objects().Position(1).value(), (NetworkPoint{0, 0.5}));
 }
 
 TEST(ServerTest, CancelledAppearanceOfAnExistingObjectStillRejects) {

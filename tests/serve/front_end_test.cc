@@ -1,10 +1,11 @@
 // ServingFrontEnd semantics (docs/serving.md): bounded-queue admission
 // control (ResourceExhausted, never abort), blocking back-pressure and its
 // release, drain-on-shutdown, non-aborting reads, and per-request
-// validation that counts-and-drops instead of vetoing the batch.
+// verdicts that count-and-drop instead of vetoing the batch.
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,8 @@
 
 namespace cknn {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 MonitoringServer MakeServer(int shards = 1, int pipeline_depth = 2) {
   const NetworkGenConfig net{.target_edges = 200, .seed = 7};
@@ -42,6 +45,14 @@ ServeRequest RemoveObject(std::uint64_t id) {
   ServeRequest r;
   r.op = ServeRequest::Op::kRemoveObject;
   r.id = id;
+  return r;
+}
+
+ServeRequest MoveQuery(std::uint64_t id, EdgeId edge, double t) {
+  ServeRequest r;
+  r.op = ServeRequest::Op::kMoveQuery;
+  r.id = id;
+  r.pos = NetworkPoint{edge, t};
   return r;
 }
 
@@ -153,7 +164,8 @@ TEST(FrontEndTest, InvalidRequestsAreCountedAndDropped) {
   MonitoringServer server = MakeServer();
   ServingFrontEnd fe(&server);  // No pump: windows are explicit.
 
-  // Build-time rejects: unknown move/remove, double install.
+  // Window 1: a move and a remove of unknown objects, which BuildBatch
+  // cannot translate, and a double install, which the server refuses.
   ASSERT_TRUE(fe.TrySubmit(MoveObject(42, 0, 0.5)).ok());
   ASSERT_TRUE(fe.TrySubmit(RemoveObject(43)).ok());
   ASSERT_TRUE(fe.TrySubmit(InstallQuery(1, 0, 0.5, 1)).ok());
@@ -163,24 +175,38 @@ TEST(FrontEndTest, InvalidRequestsAreCountedAndDropped) {
   EXPECT_EQ(stats.rejected_invalid, 3u);
   EXPECT_EQ(stats.applied, 1u);  // The first install.
 
-  // Engine-side reject (an edge id the network does not have): the batch
-  // bounces, the bisection applies the good update and drops the bad one
-  // alone — one bad request never vetoes its neighbors.
+  // Window 2: valid requests around four the server refuses — a NaN
+  // weight, an edge id the network does not have, a move to a NaN offset
+  // and a k = 0 install. The refusals are per-update verdicts: the window
+  // still costs one tick, and one bad request never vetoes its neighbors,
+  // not even a later request of the same query.
+  const std::uint64_t ticks = stats.ticks;
   ASSERT_TRUE(fe.TrySubmit(AddObject(7, 0, 0.5)).ok());
+  ASSERT_TRUE(fe.TrySubmit(UpdateWeight(3, 2.0)).ok());
+  ASSERT_TRUE(fe.TrySubmit(UpdateWeight(4, kNan)).ok());
   ASSERT_TRUE(fe.TrySubmit(UpdateWeight(std::uint64_t{1} << 30, 2.0)).ok());
+  ASSERT_TRUE(fe.TrySubmit(MoveQuery(1, 0, kNan)).ok());
+  ASSERT_TRUE(fe.TrySubmit(MoveQuery(1, 2, 0.25)).ok());
+  ASSERT_TRUE(fe.TrySubmit(InstallQuery(2, 1, 0.25, 0)).ok());
+  ASSERT_TRUE(fe.TrySubmit(InstallQuery(3, 1, 0.75, 2)).ok());
   ASSERT_TRUE(fe.Flush().ok());
   stats = fe.Stats();
-  EXPECT_EQ(stats.rejected_invalid, 4u);
-  EXPECT_EQ(stats.applied, 2u);
+  EXPECT_EQ(stats.ticks, ticks + 1);
+  EXPECT_EQ(stats.rejected_invalid, 7u);
+  EXPECT_EQ(stats.applied, 5u);
   EXPECT_FALSE(fe.last_error().ok());
   EXPECT_TRUE(server.objects().Contains(7));
+  EXPECT_DOUBLE_EQ(server.network().edge(3).weight, 2.0);
+  EXPECT_TRUE(fe.ReadResult(1).ok());
+  EXPECT_TRUE(fe.ReadResult(2).status().IsNotFound());
+  EXPECT_TRUE(fe.ReadResult(3).ok());
 }
 
-// Regression: an engine-side reject is bisected away, so Flush() returns
-// OK and the counters look like an ordinary validation drop — the latched
-// last_error() is the only witness. Report consumers (the load scenario's
-// `engine_error` field) must carry it; reading Stats() alone reproduces
-// the old silent-failure path.
+// Regression: an engine-side reject is a per-update verdict, so Flush()
+// returns OK and the counters look like an ordinary validation drop — the
+// latched last_error() is the only witness. Report consumers (the load
+// scenario's `engine_error` field) must carry it; reading Stats() alone
+// reproduces the old silent-failure path.
 TEST(FrontEndTest, OkFlushDoesNotClearTheEngineErrorWitness) {
   MonitoringServer server = MakeServer();
   ServingFrontEnd fe(&server);

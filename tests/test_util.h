@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
 #include "src/core/object_table.h"
+#include "src/core/server.h"
 #include "src/core/updates.h"
 #include "src/graph/network_point.h"
 #include "src/graph/road_network.h"
@@ -151,6 +152,53 @@ inline void ExpectSameDistances(const std::vector<Neighbor>& a,
                 tol * (1.0 + std::abs(a[i].distance)))
         << "rank " << i << ": ids " << a[i].id << " vs " << b[i].id;
   }
+}
+
+/// "objects[3] NotFound" per verdict, so whole verdict lists compare (and
+/// print) as plain strings.
+inline std::vector<std::string> VerdictLines(
+    const std::vector<MonitoringServer::Verdict>& verdicts) {
+  static constexpr const char* kStreams[] = {"objects", "queries", "edges"};
+  std::vector<std::string> lines;
+  for (const MonitoringServer::Verdict& v : verdicts) {
+    lines.push_back(std::string(kStreams[static_cast<int>(v.stream)]) + "[" +
+                    std::to_string(v.index) + "] " +
+                    StatusCodeName(v.status.code()));
+  }
+  return lines;
+}
+
+/// Replays `batch` on `server` one update per tick — objects, then
+/// queries, then edges, each stream in order — and returns a verdict per
+/// update the replay rejects.
+inline std::vector<MonitoringServer::Verdict> ReplayOneUpdatePerTick(
+    const UpdateBatch& batch, MonitoringServer* server) {
+  std::vector<MonitoringServer::Verdict> rejected;
+  const auto replay = [&](MonitoringServer::Verdict::Stream stream,
+                          std::size_t index, const UpdateBatch& one) {
+    Status status = server->Tick(one);
+    if (!status.ok()) {
+      rejected.push_back(
+          MonitoringServer::Verdict{stream, index, std::move(status)});
+    }
+  };
+  using Stream = MonitoringServer::Verdict::Stream;
+  for (std::size_t i = 0; i < batch.objects.size(); ++i) {
+    UpdateBatch one;
+    one.objects.push_back(batch.objects[i]);
+    replay(Stream::kObjects, i, one);
+  }
+  for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+    UpdateBatch one;
+    one.queries.push_back(batch.queries[i]);
+    replay(Stream::kQueries, i, one);
+  }
+  for (std::size_t i = 0; i < batch.edges.size(); ++i) {
+    UpdateBatch one;
+    one.edges.push_back(batch.edges[i]);
+    replay(Stream::kEdges, i, one);
+  }
+  return rejected;
 }
 
 }  // namespace cknn::testing
