@@ -108,27 +108,16 @@ Status CheckEdge(const EdgeUpdate& u, std::size_t num_edges) {
   return Status::OK();
 }
 
-/// Partitions the primary network's weight store before the shard set is
-/// built, so every shard view inherits the tile partition (mem-init-list
-/// helper: `shards_` is constructed right after).
-RoadNetwork* RetiledPrimary(RoadNetwork* network, int num_tiles) {
-  CKNN_CHECK(num_tiles >= 1);
-  network->Retile(num_tiles);
-  return network;
-}
-
 }  // namespace
 
 MonitoringServer::MonitoringServer(RoadNetwork network, Algorithm algorithm,
-                                   int num_shards, int pipeline_depth,
-                                   int num_tiles)
+                                   int num_shards, int pipeline_depth)
     : network_(std::move(network)),
       objects_(network_.NumEdges()),
       spatial_index_(BuildSpatialIndex(network_)),
       algorithm_(algorithm),
       pipeline_depth_(pipeline_depth),
-      shards_(RetiledPrimary(&network_, num_tiles), &objects_, algorithm,
-              num_shards,
+      shards_(&network_, &objects_, algorithm, num_shards,
               /*pipelined=*/pipeline_depth > 1) {
   CKNN_CHECK(pipeline_depth >= 1 && pipeline_depth <= 2);
 }

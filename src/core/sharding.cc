@@ -42,9 +42,9 @@ ShardSet::ShardSet(RoadNetwork* primary_network, ObjectTable* objects,
     Shard& shard = shards_[static_cast<std::size_t>(s)];
     RoadNetwork* net = primary_network;
     if (s > 0) {
-      // A shared-topology view, not a clone: the immutable topology (and
-      // tile partition) is referenced, only the dynamic weights are
-      // per-shard — O(8 bytes/edge) instead of O(network) per shard.
+      // A shared-topology view, not a clone: the immutable topology is
+      // referenced, only the dynamic weights are per-shard — O(8
+      // bytes/edge) instead of O(network) per shard.
       shard.network =
           std::make_unique<RoadNetwork>(primary_network->SharedView());
       net = shard.network.get();

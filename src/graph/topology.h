@@ -22,8 +22,9 @@ class SequenceTable;
 /// `RoadNetwork` view of the same graph (the sharded server's per-shard
 /// views, the lockstep conformance servers, the Brinkhoff generator's
 /// private routing network). Only the *dynamic weights* are per-view
-/// (`TiledWeightStore` in src/graph/tiling.h); the topology exists once
-/// per graph regardless of how many shards or servers reference it.
+/// (the weight array in `RoadNetwork`, docs/network_views.md); the
+/// topology exists once per graph regardless of how many shards or
+/// servers reference it.
 ///
 /// Mutation protocol: `RoadNetwork::AddNode`/`AddEdge` mutate the topology
 /// only while their facade is the sole owner (`use_count() == 1`); once a
@@ -34,7 +35,7 @@ class SequenceTable;
 class SharedTopology {
  public:
   /// Immutable per-edge record; the dynamic weight lives in the view's
-  /// weight store.
+  /// weight array.
   struct EdgeTopo {
     NodeId u = kInvalidNode;  ///< e.start
     NodeId v = kInvalidNode;  ///< e.end

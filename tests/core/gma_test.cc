@@ -203,7 +203,7 @@ TEST(GmaTest, UpdateFilteringSkipsUnrelatedQueries) {
 TEST(GmaTest, AgreesWithOvhUnderMixedUpdates) {
   RoadNetwork base =
       GenerateRoadNetwork(NetworkGenConfig{.target_edges = 220, .seed = 8});
-  MonitoringServer gma_server(CloneNetwork(base), Algorithm::kGma);
+  MonitoringServer gma_server(base.SharedView(), Algorithm::kGma);
   MonitoringServer ovh_server(std::move(base), Algorithm::kOvh);
   Rng rng(55);
   const std::size_t num_edges = gma_server.network().NumEdges();

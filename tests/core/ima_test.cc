@@ -15,7 +15,7 @@ namespace {
 class ImaVsOvhFixture : public ::testing::Test {
  protected:
   void Init(RoadNetwork net) {
-    ima_ = std::make_unique<MonitoringServer>(CloneNetwork(net),
+    ima_ = std::make_unique<MonitoringServer>(net.SharedView(),
                                               Algorithm::kIma);
     ovh_ = std::make_unique<MonitoringServer>(std::move(net),
                                               Algorithm::kOvh);

@@ -30,9 +30,9 @@ void ExpectPipelineEqualsSerial(const RoadNetwork& network,
                                 Algorithm algorithm, int shards,
                                 const std::vector<UpdateBatch>& batches,
                                 const std::vector<QueryId>& live) {
-  MonitoringServer serial(CloneNetwork(network), algorithm, shards,
+  MonitoringServer serial(network.SharedView(), algorithm, shards,
                           /*pipeline_depth=*/1);
-  MonitoringServer pipelined(CloneNetwork(network), algorithm, shards,
+  MonitoringServer pipelined(network.SharedView(), algorithm, shards,
                              /*pipeline_depth=*/2);
   EXPECT_EQ(pipelined.pipeline_depth(), 2);
   for (const UpdateBatch& batch : batches) {

@@ -20,7 +20,6 @@
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
 #include "src/core/top_k.h"
-#include "src/util/bucket_queue.h"
 #include "src/util/dense_id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/rng.h"
@@ -103,17 +102,6 @@ TEST(MemOracleTest, IndexedMinHeap) {
   });
 }
 
-TEST(MemOracleTest, BucketQueue) {
-  ExpectEstimateWithinOracle("BucketQueue", [] {
-    auto q = std::make_unique<BucketQueue>(1.0);
-    Rng rng(11);
-    for (std::uint64_t id = 0; id < 8000; ++id) {
-      q->Push(id, rng.Uniform(0.0, 500.0));
-    }
-    return q;
-  });
-}
-
 TEST(MemOracleTest, CandidateSet) {
   ExpectEstimateWithinOracle("CandidateSet", [] {
     auto cand = std::make_unique<CandidateSet>();
@@ -146,30 +134,14 @@ TEST(MemOracleTest, RoadNetworkWithCsr) {
   });
 }
 
-TEST(MemOracleTest, TilePartition) {
-  // The partition is shared across views; the build lambda measures one
-  // copy of the assignment/locator/slot arrays.
-  const RoadNetwork net = testing::MakeGrid(60);
-  net.topology()->BuildAdjacencyIndex();
-  ExpectEstimateWithinOracle("TilePartition", [&net] {
-    struct Holder {
-      std::shared_ptr<const TilePartition> part;
-      std::size_t MemoryBytes() const { return part->MemoryBytes(); }
-    };
-    return std::make_unique<Holder>(
-        Holder{TilePartition::Build(*net.topology(), 16)});
-  });
-}
-
-TEST(MemOracleTest, TiledWeightOverlay) {
+TEST(MemOracleTest, WeightOverlay) {
   // A shard's true per-view increment: OverlayMemoryBytes() of a
-  // SharedView must cover the tiled weight payload it actually allocates
-  // (the network is built and retiled OUTSIDE the measured build, so the
-  // delta is only the overlay copy).
+  // SharedView must cover the weight array it actually allocates (the
+  // network is built OUTSIDE the measured build, so the delta is only the
+  // overlay copy).
   RoadNetwork base = testing::MakeGrid(60);
   base.BuildAdjacencyIndex();
-  base.Retile(16);
-  ExpectEstimateWithinOracle("TiledWeightOverlay", [&base] {
+  ExpectEstimateWithinOracle("WeightOverlay", [&base] {
     struct Holder {
       RoadNetwork view;
       std::size_t MemoryBytes() const { return view.OverlayMemoryBytes(); }
