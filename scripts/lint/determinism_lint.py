@@ -7,7 +7,9 @@ pipeline, and tile configuration.  That guarantee dies quietly when result
 paths pick up a dependence on something the language does not order:
 
   unordered-iter   iterating a std::unordered_map / std::unordered_set
-                   (range-for or .begin() walks).  Hash-table iteration
+                   (range-for or .begin() walks), or calling
+                   cknn::IdMap::ForEachUnordered (src/util/id_map.h), which
+                   visits entries in slot order.  Hash-table iteration
                    order is unspecified and changes across libstdc++
                    versions, hash seeds, and insertion histories.
   pointer-key      std::map / std::set keyed by a pointer type.  The
@@ -72,6 +74,9 @@ DECL_NAME_RE = re.compile(r"[&*\s]([A-Za-z_]\w*)\s*(?:;|=|\{|\)|,|$)")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^;]*)\)\s*(?:\{|[^;{]*;|$)")
 BEGIN_CALL_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*(?:\.|->)\s*c?begin\s*\(")
+# IdMap's slot-order visit: the order follows the insertion history, like a
+# hash table's. (ForEach, which sorts by id, is the ordered sibling.)
+SLOT_ORDER_RE = re.compile(r"(?:\.|->)\s*ForEachUnordered\s*\(")
 POINTER_KEY_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:map|set|multimap|multiset)\s*<"
     r"\s*(?:const\s+)?[\w:]+(?:\s*<[^<>]*>)?\s*\*")
@@ -227,6 +232,9 @@ def lint_file(path, text=None):
                 hits.append((i, "unordered-iter",
                              "iterator walk over unordered container "
                              f"'{m.group(1)}'"))
+        if SLOT_ORDER_RE.search(line):
+            hits.append((i, "unordered-iter",
+                         "slot-order visit of an IdMap (ForEachUnordered)"))
         if POINTER_KEY_RE.search(line):
             hits.append((i, "pointer-key", "pointer-keyed ordered container"))
         if WALL_CLOCK_RE.search(line):

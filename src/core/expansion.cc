@@ -35,17 +35,17 @@ const ExpansionState::SettledInfo* ExpansionState::Info(NodeId n) const {
 
 void ExpansionState::Settle(NodeId n, double dist, NodeId parent,
                             EdgeId via_edge) {
-  CKNN_CHECK(!settled_.Contains(n));
-  Slot& s = settled_[n];
-  s.info = SettledInfo{dist, parent, via_edge};
+  Slot slot;
+  slot.info = SettledInfo{dist, parent, via_edge};
   if (parent != kInvalidNode) {
-    // Slot pointers are stable across inserts (paged storage), so linking
-    // into the parent's child list after inserting `n` is safe.
-    Slot* ps = settled_.Find(parent);
+    const Slot* ps = settled_.Find(parent);
     CKNN_DCHECK(ps != nullptr);
-    s.next_sibling = ps->first_child;
-    ps->first_child = n;
+    slot.next_sibling = ps->first_child;
   }
+  const bool inserted = settled_.TryEmplace(n, slot).second;
+  CKNN_CHECK(inserted);
+  // The insert may have moved the parent's slot: look it up again.
+  if (parent != kInvalidNode) settled_.Find(parent)->first_child = n;
   max_settled_dist_ = std::max(max_settled_dist_, dist);
 }
 

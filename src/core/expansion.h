@@ -8,7 +8,7 @@
 #include "src/graph/network_point.h"
 #include "src/graph/road_network.h"
 #include "src/graph/types.h"
-#include "src/util/dense_id_map.h"
+#include "src/util/id_map.h"
 
 namespace cknn {
 
@@ -44,10 +44,12 @@ struct ExpansionSource {
 /// endpoints). This is equivalent to the paper's marks without per-edge
 /// interval bookkeeping.
 ///
-/// Storage is a node-indexed `DenseIdMap` of slots that carry the tree
-/// label plus intrusive first-child/next-sibling links, so subtree walks
-/// need no separate parent -> children hash map and a full reset is an O(1)
-/// epoch bump (the per-query state is reused across timestamps).
+/// Storage is an `IdMap` from node id to a slot that carries the tree label
+/// plus intrusive first-child/next-sibling links, so subtree walks need no
+/// separate parent -> children hash map. Its footprint follows the number
+/// of settled nodes, and a reset keeps the slot array for the query's next
+/// expansion. Slots move on insert and erase, so the implementation holds
+/// no slot pointer across either.
 ///
 /// The class exposes exactly the maintenance operations Sections 4.2-4.4
 /// need: subtree pruning (weight increases, query movement), subtree
@@ -179,7 +181,7 @@ class ExpansionState {
   void MarkNodes(const std::vector<NodeId>& nodes);
 
   ExpansionSource source_;
-  DenseIdMap<Slot> settled_;
+  IdMap<Slot> settled_;
   std::uint32_t mark_epoch_ = 0;
   double bound_ = kInfDist;
   double max_settled_dist_ = 0.0;

@@ -27,16 +27,17 @@ Status ImaEngine::AddQuery(QueryId id, const ExpansionSource& source,
     return Status::InvalidArgument("query anchored at unknown node");
   }
   Entry& entry = entries_[id];
+  entry.id = id;
   entry.source = source;
   entry.k = k;
-  RecomputeEntry(id, &entry);
+  RecomputeEntry(&entry);
   return Status::OK();
 }
 
 Status ImaEngine::RemoveQuery(QueryId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return Status::NotFound("unknown query id");
-  for (EdgeId e : it->second.covered) influence_[e].erase(id);
+  for (EdgeId e : it->second.covered) Unlist(e, &it->second);
   entries_.erase(it);
   return Status::OK();
 }
@@ -50,7 +51,7 @@ Result<bool> ImaEngine::SetK(QueryId id, int k) {
   entry.k = k;
   // Growing k continues the expansion from the live frontier; shrinking
   // only moves the bound.
-  return RebuildEntry(id, &entry);
+  return RebuildEntry(&entry);
 }
 
 const std::vector<Neighbor>* ImaEngine::ResultOf(QueryId id) const {
@@ -75,21 +76,43 @@ const ExpansionState* ImaEngine::StateOf(QueryId id) const {
   return it == entries_.end() ? nullptr : &it->second.state;
 }
 
+std::vector<QueryId> ImaEngine::InfluenceOf(EdgeId e) const {
+  std::vector<QueryId> ids;
+  for (const Entry* entry : influence_[e]) ids.push_back(entry->id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ImaEngine::Queue(Entry* entry) {
+  if (entry->queued) return;
+  entry->queued = true;
+  worklist_.push_back(entry);
+}
+
+void ImaEngine::Unlist(EdgeId e, const Entry* entry) {
+  std::vector<Entry*>& list = influence_[e];
+  const auto it = std::find(list.begin(), list.end(), entry);
+  CKNN_CHECK(it != list.end());  // Lists mirror each entry's covered set.
+  *it = list.back();
+  list.pop_back();
+}
+
 template <typename Fn>
 void ImaEngine::ForEachInfluenced(EdgeId e, Fn&& fn) {
   if (use_influence_filter_) {
-    // Snapshot: fn may trigger coverage changes that edit influence_[e].
-    // cknn-lint: allow(unordered-iter) handlers write only (id)-keyed state
-    std::vector<QueryId> ids(influence_[e].begin(), influence_[e].end());
-    for (QueryId id : ids) {
-      auto it = entries_.find(id);
-      CKNN_DCHECK(it != entries_.end());
-      fn(id, &it->second);
+    // Handlers write only their own entry; the worklist is sorted before
+    // the rebuild pass, so the list's order reaches no result.
+    for (Entry* entry : influence_[e]) {
+      Queue(entry);
+      fn(entry);
     }
   } else {
     // cknn-lint: allow(unordered-iter) handlers write only (id)-keyed state
     for (auto& [id, entry] : entries_) {
-      if (entry.state.EdgeTouched(*net_, e)) fn(id, &entry);
+      if (entry.state.EdgeTouched(*net_, e)) {
+        Queue(&entry);
+        fn(&entry);
+      }
     }
   }
 }
@@ -104,7 +127,7 @@ void ImaEngine::RederiveFrontierNode(Entry* entry, NodeId n) {
   }
 }
 
-void ImaEngine::RepairAfterRemoval(QueryId id, Entry* entry,
+void ImaEngine::RepairAfterRemoval(Entry* entry,
                                    const std::vector<NodeId>& removed) {
   if (removed.empty()) return;
   std::unordered_set<NodeId> gone(removed.begin(), removed.end());
@@ -125,7 +148,6 @@ void ImaEngine::RepairAfterRemoval(QueryId id, Entry* entry,
   // distances may have gone through removed nodes), and the edges may have
   // left the covered region — but influence-list removal is deferred so
   // that this timestamp's object updates still reach the query.
-  (void)id;
   for (NodeId r : removed) {
     for (const RoadNetwork::Incidence& inc : net_->Incidences(r)) {
       entry->rescan_edges.insert(inc.edge);
@@ -171,7 +193,7 @@ void ImaEngine::RepairEdgeKeys(Entry* entry, EdgeId edge) {
 void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
   const EdgeId e = update.edge;
   const double new_w = update.new_weight;
-  ForEachInfluenced(e, [&](QueryId id, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (entry->needs_recompute) return;
     if (!use_tree_reuse_) {
       entry->needs_recompute = true;
@@ -192,7 +214,7 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
       const double threshold = *entry->state.NodeDistance(*child);
       const auto removed =
           entry->state.PruneOthersBeyond(*child, threshold);
-      RepairAfterRemoval(id, entry, removed);
+      RepairAfterRemoval(entry, removed);
     } else {
       // Covered non-tree edge: a shortcut may improve anything farther than
       // the cheapest way through it.
@@ -206,21 +228,21 @@ void ImaEngine::ApplyEdgeDecrease(const EdgeUpdate& update) {
       }
       if (min_end < kInfDist) {
         const auto removed = entry->state.PruneBeyond(min_end + new_w);
-        RepairAfterRemoval(id, entry, removed);
+        RepairAfterRemoval(entry, removed);
       }
     }
     entry->rescan_edges.insert(e);
     entry->affected = true;
   });
   CKNN_CHECK(net_->SetWeight(e, new_w).ok());
-  ForEachInfluenced(e, [&](QueryId, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (!entry->needs_recompute) RepairEdgeKeys(entry, e);
   });
 }
 
 void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
   const EdgeId e = update.edge;
-  ForEachInfluenced(e, [&](QueryId id, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (entry->needs_recompute) return;
     if (!use_tree_reuse_) {
       entry->needs_recompute = true;
@@ -234,7 +256,7 @@ void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
       // Fig. 8: paths through the more expensive edge may no longer be
       // optimal anywhere below it.
       const auto removed = entry->state.PruneSubtree(*child);
-      RepairAfterRemoval(id, entry, removed);
+      RepairAfterRemoval(entry, removed);
     }
     // Covered non-tree edge: settled distances cannot change (their
     // shortest paths avoid e), but objects *on* e shift with the weight.
@@ -242,7 +264,7 @@ void ImaEngine::ApplyEdgeIncrease(const EdgeUpdate& update) {
     entry->affected = true;
   });
   CKNN_CHECK(net_->SetWeight(e, update.new_weight).ok());
-  ForEachInfluenced(e, [&](QueryId, Entry* entry) {
+  ForEachInfluenced(e, [&](Entry* entry) {
     if (!entry->needs_recompute) RepairEdgeKeys(entry, e);
   });
 }
@@ -252,6 +274,7 @@ void ImaEngine::ApplyMove(const MoveRequest& move) {
   CKNN_CHECK(it != entries_.end());
   Entry& entry = it->second;
   CKNN_CHECK(!entry.source.at_node);  // Anchored queries never move.
+  Queue(&entry);
   const NetworkPoint target = move.pos;
   CKNN_CHECK(target.edge < net_->NumEdges());
   if (entry.needs_recompute) {
@@ -318,7 +341,7 @@ void ImaEngine::ApplyMove(const MoveRequest& move) {
 void ImaEngine::ApplyObjectUpdate(const ObjectUpdate& update) {
   bool routed = false;
   if (update.old_pos.has_value()) {
-    ForEachInfluenced(update.old_pos->edge, [&](QueryId, Entry* entry) {
+    ForEachInfluenced(update.old_pos->edge, [&](Entry* entry) {
       if (entry->needs_recompute) return;
       auto removed = entry->known.Remove(update.id);
       if (removed.has_value()) {
@@ -335,7 +358,7 @@ void ImaEngine::ApplyObjectUpdate(const ObjectUpdate& update) {
     CKNN_CHECK(objects_->Apply(update).ok());
   }
   if (update.new_pos.has_value()) {
-    ForEachInfluenced(update.new_pos->edge, [&](QueryId, Entry* entry) {
+    ForEachInfluenced(update.new_pos->edge, [&](Entry* entry) {
       if (entry->needs_recompute) return;
       auto d = entry->state.PointDistance(*net_, *update.new_pos);
       if (d.has_value()) {
@@ -371,30 +394,34 @@ std::vector<QueryId> ImaEngine::ProcessUpdates(
   for (const MoveRequest& m : moves) ApplyMove(m);
   for (const ObjectUpdate& u : object_updates) ApplyObjectUpdate(u);
 
+  // Only queries an update reached can need work: every entry leaves the
+  // previous pass (or AddQuery/SetK) with its flags clear. Visiting them
+  // in id order keeps `changed` canonical and the influence-list edits of
+  // the pass independent of the order the lists were walked in.
+  std::sort(worklist_.begin(), worklist_.end(),
+            [](const Entry* a, const Entry* b) { return a->id < b->id; });
   std::vector<QueryId> changed;
-  // cknn-lint: allow(unordered-iter) id-keyed work; changed is sorted below
-  for (auto& [id, entry] : entries_) {
-    if (entry.needs_recompute) {
-      if (RecomputeEntry(id, &entry)) changed.push_back(id);
-    } else if (entry.affected || entry.full_refresh ||
-               !entry.rescan_edges.empty()) {
-      if (RebuildEntry(id, &entry)) changed.push_back(id);
+  for (Entry* entry : worklist_) {
+    entry->queued = false;
+    ++stats_.entries_examined;
+    if (entry->needs_recompute) {
+      if (RecomputeEntry(entry)) changed.push_back(entry->id);
+    } else if (entry->affected || entry->full_refresh ||
+               !entry->rescan_edges.empty()) {
+      if (RebuildEntry(entry)) changed.push_back(entry->id);
     }
   }
-  // entries_ iterates in hash order; canonicalize the API surface so no
-  // caller can pick up a dependence on it.
-  std::sort(changed.begin(), changed.end());
+  worklist_.clear();
   return changed;
 }
 
 void ImaEngine::RescanEdge(Entry* entry, EdgeId e) {
-  for (ObjectId obj : objects_->ObjectsOn(e)) {
-    const NetworkPoint pos = objects_->Position(obj).value();
-    auto d = entry->state.PointDistance(*net_, pos);
+  for (const ObjectTable::EdgeObject& obj : objects_->ObjectsOn(e)) {
+    auto d = entry->state.PointDistance(*net_, NetworkPoint{e, obj.t});
     if (d.has_value()) {
-      entry->known.Set(obj, *d);
+      entry->known.Set(obj.id, *d);
     } else {
-      entry->known.Remove(obj);
+      entry->known.Remove(obj.id);
     }
   }
 }
@@ -416,7 +443,7 @@ void ImaEngine::RefreshKnownAll(Entry* entry) {
   }
 }
 
-void ImaEngine::RebuildCoverage(QueryId id, Entry* entry) {
+void ImaEngine::RebuildCoverage(Entry* entry) {
   std::unordered_set<EdgeId> covered;
   covered.reserve(entry->state.NumSettled() * 3 + 1);
   if (!entry->source.at_node) covered.insert(entry->source.point.edge);
@@ -427,23 +454,22 @@ void ImaEngine::RebuildCoverage(QueryId id, Entry* entry) {
           covered.insert(inc.edge);
         }
       });
-  // cknn-lint: allow(unordered-iter) keyed set edits, order-free
+  // cknn-lint: allow(unordered-iter) keyed list edits; list order is free
   for (EdgeId e : entry->covered) {
-    if (covered.count(e) == 0) influence_[e].erase(id);
+    if (covered.count(e) == 0) Unlist(e, entry);
   }
-  // cknn-lint: allow(unordered-iter) keyed set edits, order-free
+  // cknn-lint: allow(unordered-iter) keyed list edits; list order is free
   for (EdgeId e : covered) {
-    if (entry->covered.count(e) == 0) influence_[e].insert(id);
+    if (entry->covered.count(e) == 0) influence_[e].push_back(entry);
   }
   entry->covered = std::move(covered);
 }
 
-void ImaEngine::GrowCoverage(QueryId id, Entry* entry,
-                             const std::vector<NodeId>& fresh) {
+void ImaEngine::GrowCoverage(Entry* entry, const std::vector<NodeId>& fresh) {
   for (NodeId n : fresh) {
     for (const RoadNetwork::Incidence& inc : net_->Incidences(n)) {
       if (entry->covered.insert(inc.edge).second) {
-        influence_[inc.edge].insert(id);
+        influence_[inc.edge].push_back(entry);
       }
     }
   }
@@ -458,7 +484,7 @@ bool ImaEngine::ExtractResult(Entry* entry) {
   return changed;
 }
 
-bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
+bool ImaEngine::RebuildEntry(Entry* entry) {
   ++stats_.rebuilds;
   if (entry->full_refresh) {
     RefreshKnownAll(entry);
@@ -470,12 +496,12 @@ bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
   ExpandToK(*net_, *objects_, entry->k, &entry->state, &entry->frontier,
             &entry->known, &fresh);
   if (entry->full_refresh) {
-    RebuildCoverage(id, entry);
+    RebuildCoverage(entry);
     entry->full_refresh = false;
     entry->pending_uncover.clear();
     return ExtractResult(entry);
   }
-  GrowCoverage(id, entry, fresh);
+  GrowCoverage(entry, fresh);
   // Lazy shrink (the paper's tree shrinking with hysteresis): once the
   // tree radius exceeds the bound by more than the slack, prune the excess
   // so influence lists don't ratchet up under weight wobble.
@@ -485,7 +511,7 @@ bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
       entry->state.max_settled_dist() > kShrinkSlack * bound) {
     const double keep_radius = kShrinkSlack * bound;
     const auto removed = entry->state.PruneBeyond(keep_radius);
-    RepairAfterRemoval(id, entry, removed);
+    RepairAfterRemoval(entry, removed);
     for (EdgeId e : entry->rescan_edges) RescanEdge(entry, e);
     entry->rescan_edges.clear();
     entry->state.set_max_settled_dist(keep_radius);
@@ -495,14 +521,14 @@ bool ImaEngine::RebuildEntry(QueryId id, Entry* entry) {
   // cknn-lint: allow(unordered-iter) keyed erases, order-free
   for (EdgeId e : entry->pending_uncover) {
     if (!entry->state.EdgeTouched(*net_, e)) {
-      if (entry->covered.erase(e) > 0) influence_[e].erase(id);
+      if (entry->covered.erase(e) > 0) Unlist(e, entry);
     }
   }
   entry->pending_uncover.clear();
   return ExtractResult(entry);
 }
 
-bool ImaEngine::RecomputeEntry(QueryId id, Entry* entry) {
+bool ImaEngine::RecomputeEntry(Entry* entry) {
   ++stats_.full_recomputes;
   if (entry->source.at_node) {
     entry->state.ResetToNode(entry->source.node);
@@ -517,13 +543,18 @@ bool ImaEngine::RecomputeEntry(QueryId id, Entry* entry) {
   entry->needs_recompute = false;
   ExpandToK(*net_, *objects_, entry->k, &entry->state, &entry->frontier,
             &entry->known);
-  RebuildCoverage(id, entry);
+  RebuildCoverage(entry);
   return ExtractResult(entry);
 }
 
 
 Status ImaEngine::CheckInvariants() const {
   auto fail = [](std::string msg) { return Status::Internal(std::move(msg)); };
+  auto listed = [this](EdgeId e, const Entry* entry) {
+    const std::vector<Entry*>& list = influence_[e];
+    return std::find(list.begin(), list.end(), entry) != list.end();
+  };
+  std::size_t covered_total = 0;
   // cknn-lint: allow(unordered-iter) validation; any order finds a violation
   for (const auto& [id, entry] : entries_) {
     const std::string tag = "query " + std::to_string(id) + ": ";
@@ -575,7 +606,7 @@ Status ImaEngine::CheckInvariants() const {
         known_status = fail(tag + "known object on uncovered edge");
         return;
       }
-      if (influence_[e].count(id) == 0) {
+      if (!listed(e, &entry)) {
         known_status = fail(tag + "known object's edge lost the influence entry");
       }
     });
@@ -583,38 +614,46 @@ Status ImaEngine::CheckInvariants() const {
     // Coverage <-> influence agreement.
     // cknn-lint: allow(unordered-iter) validation; any order finds a violation
     for (EdgeId e : entry.covered) {
-      if (influence_[e].count(id) == 0) {
+      if (!listed(e, &entry)) {
         return fail(tag + "covered edge without influence entry");
       }
     }
+    covered_total += entry.covered.size();
+    if (entry.queued) return fail(tag + "left on the worklist");
   }
+  std::size_t listed_total = 0;
   for (EdgeId e = 0; e < influence_.size(); ++e) {
-    // cknn-lint: allow(unordered-iter) validation; any order finds a violation
-    for (QueryId id : influence_[e]) {
-      auto it = entries_.find(id);
-      if (it == entries_.end()) {
+    for (const Entry* handle : influence_[e]) {
+      auto it = entries_.find(handle->id);
+      if (it == entries_.end() || &it->second != handle) {
         return fail("influence list holds a removed query");
       }
-      if (it->second.covered.count(e) == 0) {
+      if (handle->covered.count(e) == 0) {
         return fail("influence entry without covered edge");
       }
     }
+    listed_total += influence_[e].size();
+  }
+  // With both directions checked, equal totals rule out duplicate entries.
+  if (listed_total != covered_total) {
+    return fail("influence lists hold duplicate entries");
   }
   return Status::OK();
 }
 
 std::size_t ImaEngine::MemoryBytes() const {
   std::size_t bytes = HashMapBytes(entries_) +
-                      influence_.capacity() * sizeof(influence_[0]);
+                      influence_.capacity() * sizeof(influence_[0]) +
+                      VectorBytes(worklist_);
   // cknn-lint: allow(unordered-iter) commutative byte sum
   for (const auto& [id, entry] : entries_) {
     (void)id;
     bytes += entry.state.MemoryBytes() + entry.known.MemoryBytes() +
              entry.frontier.MemoryBytes() + VectorBytes(entry.result) +
-             HashSetBytes(entry.covered) + HashSetBytes(entry.rescan_edges);
+             HashSetBytes(entry.covered) + HashSetBytes(entry.rescan_edges) +
+             HashSetBytes(entry.pending_uncover);
   }
-  // cknn-lint: allow(unordered-iter) commutative byte sum
-  for (const auto& il : influence_) bytes += HashSetBytes(il);
+  for (const auto& list : influence_) bytes += VectorBytes(list);
   return bytes;
 }
 

@@ -26,8 +26,10 @@ namespace cknn {
 /// (`ExpansionState`), the persistent frontier (`Frontier` — the paper's
 /// marks), and the known set (`CandidateSet`: every object discovered in
 /// the covered region with its best known distance). Globally it owns the
-/// influence lists (edge -> ids of queries the edge affects), which route
-/// updates to exactly the queries they can invalidate (Section 4.2).
+/// influence lists (edge -> handles of the queries the edge affects), which
+/// route updates to exactly the queries they can invalidate (Section 4.2),
+/// and the worklist of queries an update reached this tick: the rebuild
+/// pass visits those and no others.
 ///
 /// Maintenance cost is proportional to the *invalidated region*, as in the
 /// paper:
@@ -55,6 +57,9 @@ class ImaEngine {
     std::uint64_t rebuilds = 0;
     std::uint64_t updates_routed = 0;
     std::uint64_t updates_ignored = 0;
+    /// Queries the rebuild pass examined: those an update reached through
+    /// an influence list or a movement, each counted once per tick.
+    std::uint64_t entries_examined = 0;
   };
 
   /// Both tables outlive the engine and are mutated by ProcessUpdates.
@@ -90,10 +95,9 @@ class ImaEngine {
   /// nullptr if unknown.
   const ExpansionState* StateOf(QueryId id) const;
 
-  /// Influence list of an edge (inspection for tests/diagnostics).
-  const std::unordered_set<QueryId>& InfluenceOf(EdgeId e) const {
-    return influence_[e];
-  }
+  /// Ids on the influence list of an edge, ascending (inspection for
+  /// tests/diagnostics).
+  std::vector<QueryId> InfluenceOf(EdgeId e) const;
 
   /// Known set of a query (inspection for tests/diagnostics); nullptr if
   /// unknown.
@@ -135,6 +139,7 @@ class ImaEngine {
 
  private:
   struct Entry {
+    QueryId id = kInvalidQuery;
     ExpansionSource source;
     int k = 1;
     ExpansionState state;
@@ -152,6 +157,8 @@ class ImaEngine {
     std::unordered_set<EdgeId> pending_uncover;
     bool needs_recompute = false;
     bool affected = false;
+    /// On the rebuild worklist of the current tick.
+    bool queued = false;
     /// Re-derive every known distance and rebuild coverage wholesale
     /// (set by re-rooting, where all distances shift frames).
     bool full_refresh = false;
@@ -167,8 +174,7 @@ class ImaEngine {
   /// After settled nodes were removed: drops orphaned tentative labels,
   /// re-derives boundary candidates from the surviving settled set, shrinks
   /// coverage, and marks the region's edges for object re-derivation.
-  void RepairAfterRemoval(QueryId id, Entry* entry,
-                          const std::vector<NodeId>& removed);
+  void RepairAfterRemoval(Entry* entry, const std::vector<NodeId>& removed);
   /// After subtree distances were lowered: re-relaxes the region's frontier
   /// and marks its edges for object re-derivation.
   void RepairAfterAdjust(Entry* entry, const std::vector<NodeId>& adjusted);
@@ -181,9 +187,9 @@ class ImaEngine {
 
   /// Continues the expansion of an affected entry and refreshes its
   /// result. Returns whether the result changed.
-  bool RebuildEntry(QueryId id, Entry* entry);
+  bool RebuildEntry(Entry* entry);
   /// From-scratch recomputation (Fig. 2). Returns whether result changed.
-  bool RecomputeEntry(QueryId id, Entry* entry);
+  bool RecomputeEntry(Entry* entry);
 
   /// Re-derives the distances of objects on one edge in the known set.
   void RescanEdge(Entry* entry, EdgeId e);
@@ -191,24 +197,34 @@ class ImaEngine {
   void RefreshKnownAll(Entry* entry);
   /// Recomputes the covered-edge set from scratch and diffs the influence
   /// lists accordingly.
-  void RebuildCoverage(QueryId id, Entry* entry);
+  void RebuildCoverage(Entry* entry);
   /// Adds the incident edges of newly settled nodes to the coverage.
-  void GrowCoverage(QueryId id, Entry* entry,
-                    const std::vector<NodeId>& fresh);
+  void GrowCoverage(Entry* entry, const std::vector<NodeId>& fresh);
 
   /// Extracts the new top-k result; returns whether it changed.
   bool ExtractResult(Entry* entry);
 
-  /// Invokes fn(id, entry) for every query influenced by `e` (or every
-  /// query when influence filtering is disabled).
+  /// Queues every query influenced by `e` (or, with influence filtering
+  /// disabled, every query whose tree touches `e`) for the rebuild pass and
+  /// invokes fn(entry) on it. The list is iterated in place: no handler
+  /// edits an influence list, because RepairAfterRemoval defers uncovering
+  /// to the rebuild pass.
   template <typename Fn>
   void ForEachInfluenced(EdgeId e, Fn&& fn);
 
+  /// Puts `entry` on the rebuild worklist (once per tick).
+  void Queue(Entry* entry);
+  /// Removes `entry` from the influence list of `e`.
+  void Unlist(EdgeId e, const Entry* entry);
+
   RoadNetwork* net_;
   ObjectTable* objects_;
+  /// Node-based, so `Entry*` handles stay valid until the query is removed.
   std::unordered_map<QueryId, Entry> entries_;
-  /// Influence lists, indexed by edge (the `e.IL` of Section 3).
-  std::vector<std::unordered_set<QueryId>> influence_;
+  /// Influence lists, indexed by edge (the `e.IL` of Section 3), unordered.
+  std::vector<std::vector<Entry*>> influence_;
+  /// Queries an update reached this tick; drained by ProcessUpdates.
+  std::vector<Entry*> worklist_;
   Stats stats_;
   bool use_tree_reuse_ = true;
   bool use_influence_filter_ = true;

@@ -36,9 +36,8 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
 
   auto offer_objects_on_edge = [&](EdgeId e, NodeId from, double base) {
     const RoadNetwork::Edge& ed = net.edge(e);
-    for (ObjectId obj : objects.ObjectsOn(e)) {
-      const NetworkPoint pos = objects.Position(obj).value();
-      candidates->Offer(obj, base + OffsetFrom(ed, pos.t, from));
+    for (const ObjectTable::EdgeObject& obj : objects.ObjectsOn(e)) {
+      candidates->Offer(obj.id, base + OffsetFrom(ed, obj.t, from));
       if (stats != nullptr) ++stats->objects_offered;
     }
   };
@@ -56,14 +55,15 @@ void ExpandToK(const RoadNetwork& net, const ObjectTable& objects, int k,
     // shortcut prune can remove a source-edge endpoint whose only shorter
     // way back is straight along the query's own edge. Also (re)offer the
     // source edge objects — O(objects on one edge).
-    const RoadNetwork::Edge& ed = net.edge(src.point.edge);
+    const EdgeId src_edge = src.point.edge;
+    const RoadNetwork::Edge& ed = net.edge(src_edge);
     frontier->Relax(*state, ed.u, WeightOffsetFromU(net, src.point),
-                    kInvalidNode, src.point.edge);
+                    kInvalidNode, src_edge);
     frontier->Relax(*state, ed.v, WeightOffsetFromV(net, src.point),
-                    kInvalidNode, src.point.edge);
-    for (ObjectId obj : objects.ObjectsOn(src.point.edge)) {
-      const NetworkPoint pos = objects.Position(obj).value();
-      candidates->Offer(obj, AlongEdgeDistance(net, src.point, pos));
+                    kInvalidNode, src_edge);
+    for (const ObjectTable::EdgeObject& obj : objects.ObjectsOn(src_edge)) {
+      const NetworkPoint pos{src_edge, obj.t};
+      candidates->Offer(obj.id, AlongEdgeDistance(net, src.point, pos));
       if (stats != nullptr) ++stats->objects_offered;
     }
   }

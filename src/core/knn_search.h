@@ -8,7 +8,7 @@
 #include "src/core/object_table.h"
 #include "src/core/top_k.h"
 #include "src/graph/road_network.h"
-#include "src/util/dense_id_map.h"
+#include "src/util/id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/mem.h"
 
@@ -34,7 +34,7 @@ struct ExpandStats {
 struct Frontier {
   IndexedMinHeap heap;
   /// Tentative tree label (parent, via edge) of each en-heaped node.
-  DenseIdMap<std::pair<NodeId, EdgeId>> pending;
+  IdMap<std::pair<NodeId, EdgeId>> pending;
 
   bool QueueEmpty() const { return heap.empty(); }
   std::size_t QueueSize() const { return heap.size(); }
@@ -100,9 +100,9 @@ void RebuildFrontier(const RoadNetwork& net, const ExpansionState& state,
                      Frontier* frontier);
 
 /// Reusable working set for one-shot searches: the expansion state, the
-/// frontier, and the candidate accumulator. All three clear in O(1)
-/// (epoch bumps) and keep their pages/capacity, so a caller that runs many
-/// searches per timestamp (OVH) pays no per-query allocation churn.
+/// frontier, and the candidate accumulator. All three keep their capacity
+/// across clears, so a caller that runs many searches per timestamp (OVH)
+/// pays no per-query allocation churn.
 struct KnnScratch {
   ExpansionState state;
   Frontier frontier;

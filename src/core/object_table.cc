@@ -1,7 +1,5 @@
 #include "src/core/object_table.h"
 
-#include <algorithm>
-
 #include "src/util/macros.h"
 #include "src/util/mem.h"
 
@@ -14,7 +12,7 @@ Status ObjectTable::Insert(ObjectId id, const NetworkPoint& pos) {
   auto [it, inserted] = positions_.emplace(id, pos);
   (void)it;
   if (!inserted) return Status::AlreadyExists("object id already present");
-  per_edge_[pos.edge].push_back(id);
+  per_edge_[pos.edge].push_back(EdgeObject{id, pos.t});
   return Status::OK();
 }
 
@@ -34,7 +32,13 @@ Status ObjectTable::Move(ObjectId id, const NetworkPoint& new_pos) {
   if (it == positions_.end()) return Status::NotFound("unknown object id");
   if (it->second.edge != new_pos.edge) {
     DetachFromEdge(id, it->second.edge);
-    per_edge_[new_pos.edge].push_back(id);
+    per_edge_[new_pos.edge].push_back(EdgeObject{id, new_pos.t});
+  } else {
+    EdgeObject* rec = FindOnEdge(id, new_pos.edge);
+    if (rec == nullptr) {
+      return Status::Internal("object missing from its edge list");
+    }
+    rec->t = new_pos.t;
   }
   it->second = new_pos;
   return Status::OK();
@@ -55,23 +59,31 @@ Result<NetworkPoint> ObjectTable::Position(ObjectId id) const {
   return it->second;
 }
 
-const std::vector<ObjectId>& ObjectTable::ObjectsOn(EdgeId e) const {
+const std::vector<ObjectTable::EdgeObject>& ObjectTable::ObjectsOn(
+    EdgeId e) const {
   CKNN_CHECK(e < per_edge_.size());
   return per_edge_[e];
 }
 
+ObjectTable::EdgeObject* ObjectTable::FindOnEdge(ObjectId id, EdgeId e) {
+  for (EdgeObject& o : per_edge_[e]) {
+    if (o.id == id) return &o;
+  }
+  return nullptr;
+}
+
 void ObjectTable::DetachFromEdge(ObjectId id, EdgeId e) {
-  std::vector<ObjectId>& list = per_edge_[e];
-  auto it = std::find(list.begin(), list.end(), id);
-  CKNN_CHECK(it != list.end());
+  EdgeObject* rec = FindOnEdge(id, e);
+  CKNN_CHECK(rec != nullptr);
   // Order within an edge list is immaterial: swap-erase.
-  *it = list.back();
+  std::vector<EdgeObject>& list = per_edge_[e];
+  *rec = list.back();
   list.pop_back();
 }
 
 std::size_t ObjectTable::MemoryBytes() const {
   std::size_t bytes = HashMapBytes(positions_) +
-                      per_edge_.capacity() * sizeof(std::vector<ObjectId>);
+                      per_edge_.capacity() * sizeof(per_edge_[0]);
   for (const auto& list : per_edge_) bytes += VectorBytes(list);
   return bytes;
 }

@@ -19,10 +19,19 @@ namespace cknn {
 ///
 /// Lookup directions:
 ///  * object id -> network point (for update validation and distances),
-///  * edge id   -> ids of objects currently on the edge (scanned during
-///                 network expansion, Fig. 2 line 14).
+///  * edge id   -> (id, offset) of every object currently on the edge
+///                 (scanned during network expansion, Fig. 2 line 14). The
+///                 offset is stored inline, so a scan needs no per-object
+///                 position lookup.
 class ObjectTable {
  public:
+  /// One object of an edge's list: its id and its fraction `t` along the
+  /// edge (the `NetworkPoint::t` of its position).
+  struct EdgeObject {
+    ObjectId id = kInvalidObject;
+    double t = 0.0;
+  };
+
   /// \param num_edges edge-count of the network the table serves.
   explicit ObjectTable(std::size_t num_edges) : per_edge_(num_edges) {}
 
@@ -37,7 +46,8 @@ class ObjectTable {
   /// Removes an object. NotFound if absent.
   Status Remove(ObjectId id);
 
-  /// Moves an existing object. NotFound if absent.
+  /// Moves an existing object. NotFound if absent; Internal if the table's
+  /// two directions disagree about it.
   Status Move(ObjectId id, const NetworkPoint& new_pos);
 
   /// Applies one location update: old+new = Move, old only = Remove,
@@ -57,8 +67,8 @@ class ObjectTable {
 
   bool Contains(ObjectId id) const { return positions_.count(id) != 0; }
 
-  /// Objects currently lying on edge `e`.
-  const std::vector<ObjectId>& ObjectsOn(EdgeId e) const;
+  /// Objects currently lying on edge `e`, in unspecified order.
+  const std::vector<EdgeObject>& ObjectsOn(EdgeId e) const;
 
   std::size_t size() const { return positions_.size(); }
 
@@ -66,10 +76,12 @@ class ObjectTable {
   std::size_t MemoryBytes() const;
 
  private:
+  /// The entry of `id` in edge `e`'s list, or nullptr.
+  EdgeObject* FindOnEdge(ObjectId id, EdgeId e);
   void DetachFromEdge(ObjectId id, EdgeId e);
 
   std::unordered_map<ObjectId, NetworkPoint> positions_;
-  std::vector<std::vector<ObjectId>> per_edge_;
+  std::vector<std::vector<EdgeObject>> per_edge_;
 };
 
 }  // namespace cknn

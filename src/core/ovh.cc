@@ -44,8 +44,8 @@ Status Ovh::ProcessTimestamp(const UpdateBatch& batch) {
     }
   }
   // Overhaul: recompute everything (Fig. 2 per query). The scratch
-  // expansion is reused across queries — O(1) epoch clears instead of
-  // rebuilding the state/frontier/candidate structures each time.
+  // expansion is reused across queries: clears keep the capacity of the
+  // state/frontier/candidate structures instead of reallocating them.
   // cknn-lint: allow(unordered-iter) per-query recompute into (q)-keyed state
   for (auto& [id, uq] : queries_) {
     (void)id;

@@ -3,119 +3,96 @@
 #include <algorithm>
 
 #include "src/util/macros.h"
-#include "src/util/mem.h"
 
 namespace cknn {
 
-void CandidateSet::EnsureCap(int k) const {
-  if (k <= top_cap_) return;
-  top_cap_ = k;
-  top_exact_ = false;
-}
-
-void CandidateSet::TopInsert(const Key& key) const {
-  if (!top_exact_) return;
-  if (top_.size() == static_cast<std::size_t>(top_cap_)) {
-    if (key >= top_.back()) return;  // Beyond the tracked range.
-    top_.pop_back();
+void CandidateSet::Track(const Key& key) {
+  const std::size_t cap = static_cast<std::size_t>(top_cap_);
+  const bool ahead = !top_.empty() && key < top_.back();
+  const bool others_tracked = top_.size() + 1 == by_id_.size();
+  // Behind back(), the key joins only if every other entry is tracked and
+  // there is room; otherwise it stays untracked.
+  if (!ahead && (!others_tracked || top_.size() == cap)) return;
+  if (top_.size() == cap) {
+    top_.pop_back();  // Before the insert, so the array never outgrows cap.
+  } else if (top_.size() == top_.capacity()) {
+    top_.reserve(std::min(cap, std::max<std::size_t>(4, 2 * top_.size())));
   }
   top_.insert(std::lower_bound(top_.begin(), top_.end(), key), key);
 }
 
-bool CandidateSet::TopErase(const Key& key) const {
-  if (!top_exact_) return false;
+void CandidateSet::Untrack(const Key& key) {
   const auto it = std::lower_bound(top_.begin(), top_.end(), key);
-  if (it == top_.end() || *it != key) return false;
-  top_.erase(it);
-  return true;
+  if (it != top_.end() && *it == key) top_.erase(it);
 }
 
-void CandidateSet::EnsureTop() const {
-  if (top_exact_) return;
-  top_.clear();
-  // cknn-lint: allow(unordered-iter) bounded insert under a total order
-  for (const auto& [id, dist] : by_id_) {
-    const Key key{dist, id};
-    if (top_.size() == static_cast<std::size_t>(top_cap_)) {
-      if (key >= top_.back()) continue;
-      top_.pop_back();
-    }
-    top_.insert(std::lower_bound(top_.begin(), top_.end(), key), key);
+void CandidateSet::EnsureTop(int k) const {
+  top_cap_ = std::max(top_cap_, k);
+  if (top_.size() >= static_cast<std::size_t>(k) ||
+      top_.size() == by_id_.size()) {
+    return;
   }
-  top_exact_ = true;
+  std::vector<Key> keys;
+  keys.reserve(by_id_.size());
+  // cknn-lint: allow(unordered-iter) selected and sorted under a total order
+  by_id_.ForEachUnordered([&](std::uint64_t id, const double& dist) {
+    keys.emplace_back(dist, static_cast<ObjectId>(id));
+  });
+  const auto n = static_cast<std::ptrdiff_t>(
+      std::min(keys.size(), static_cast<std::size_t>(top_cap_)));
+  std::nth_element(keys.begin(), keys.begin() + n - 1, keys.end());
+  std::sort(keys.begin(), keys.begin() + n - 1);
+  top_.assign(keys.begin(), keys.begin() + n);
 }
 
 bool CandidateSet::Offer(ObjectId id, double dist) {
-  const auto [it, inserted] = by_id_.try_emplace(id, dist);
-  if (inserted) {
-    TopInsert(Key{dist, id});
-    return true;
+  const auto [stored, inserted] = by_id_.TryEmplace(id, dist);
+  if (!inserted) {
+    if (dist >= *stored) return false;
+    const Key old{*stored, id};
+    *stored = dist;
+    Untrack(old);
   }
-  if (dist >= it->second) return false;
-  // A lowered entry can only move up: drop its old key (if tracked) and
-  // re-insert — exactness is preserved, untracked entries stay >= back.
-  TopErase(Key{it->second, id});
-  TopInsert(Key{dist, id});
-  it->second = dist;
+  Track(Key{dist, id});
   return true;
 }
 
 void CandidateSet::Set(ObjectId id, double dist) {
-  const auto [it, inserted] = by_id_.try_emplace(id, dist);
-  if (inserted) {
-    TopInsert(Key{dist, id});
-    return;
+  const auto [stored, inserted] = by_id_.TryEmplace(id, dist);
+  if (!inserted) {
+    if (dist == *stored) return;
+    const Key old{*stored, id};
+    *stored = dist;
+    Untrack(old);
   }
-  if (dist == it->second) return;
-  if (dist < it->second) {
-    TopErase(Key{it->second, id});
-    TopInsert(Key{dist, id});
-    it->second = dist;
-    return;
-  }
-  // Raised distance: a tracked entry may now rank behind an untracked one
-  // we know nothing about — the array goes stale unless the whole set fits
-  // in it. Raising an untracked entry keeps it untracked (still >= back).
-  if (TopErase(Key{it->second, id})) {
-    if (by_id_.size() <= static_cast<std::size_t>(top_cap_)) {
-      TopInsert(Key{dist, id});
-    } else {
-      top_exact_ = false;
-    }
-  }
-  it->second = dist;
+  Track(Key{dist, id});
 }
 
 std::optional<double> CandidateSet::Remove(ObjectId id) {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  const double dist = it->second;
-  if (TopErase(Key{dist, id}) && by_id_.size() - 1 > top_.size()) {
-    // An untracked entry should be promoted into the freed slot.
-    top_exact_ = false;
-  }
-  by_id_.erase(it);
+  const double* stored = by_id_.Find(id);
+  if (stored == nullptr) return std::nullopt;
+  const double dist = *stored;
+  Untrack(Key{dist, id});
+  by_id_.Erase(id);
   return dist;
 }
 
 std::optional<double> CandidateSet::DistanceOf(ObjectId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  return it->second;
+  const double* stored = by_id_.Find(id);
+  if (stored == nullptr) return std::nullopt;
+  return *stored;
 }
 
 double CandidateSet::KthDist(int k) const {
   CKNN_DCHECK(k >= 1);
   if (by_id_.size() < static_cast<std::size_t>(k)) return kInfDist;
-  EnsureCap(k);
-  EnsureTop();
+  EnsureTop(k);
   return top_[static_cast<std::size_t>(k) - 1].first;
 }
 
 std::vector<Neighbor> CandidateSet::TopK(int k) const {
   CKNN_DCHECK(k >= 1);
-  EnsureCap(k);
-  EnsureTop();
+  EnsureTop(k);
   const std::size_t n = std::min(static_cast<std::size_t>(k), top_.size());
   std::vector<Neighbor> out;
   out.reserve(n);
@@ -126,38 +103,36 @@ std::vector<Neighbor> CandidateSet::TopK(int k) const {
 }
 
 std::vector<Neighbor> CandidateSet::All() const {
-  std::vector<Key> keys;
-  keys.reserve(by_id_.size());
-  // cknn-lint: allow(unordered-iter) collected then sorted below
-  for (const auto& [id, dist] : by_id_) keys.push_back(Key{dist, id});
-  std::sort(keys.begin(), keys.end());
   std::vector<Neighbor> out;
-  out.reserve(keys.size());
-  for (const Key& key : keys) {
-    out.push_back(Neighbor{key.second, key.first});
-  }
+  out.reserve(by_id_.size());
+  // cknn-lint: allow(unordered-iter) collected then sorted below
+  by_id_.ForEachUnordered([&](std::uint64_t id, const double& dist) {
+    out.push_back(Neighbor{static_cast<ObjectId>(id), dist});
+  });
+  std::sort(out.begin(), out.end(), [](const Neighbor& a, const Neighbor& b) {
+    return Key{a.distance, a.id} < Key{b.distance, b.id};
+  });
   return out;
 }
 
 void CandidateSet::PruneBeyond(double bound) {
-  // cknn-lint: allow(unordered-iter) keyed erases; top_ repair order-free
-  for (auto it = by_id_.begin(); it != by_id_.end();) {
-    it = it->second > bound ? by_id_.erase(it) : std::next(it);
-  }
-  if (top_exact_) {
-    while (!top_.empty() && top_.back().first > bound) top_.pop_back();
-    if (by_id_.size() > top_.size()) top_exact_ = false;
-  }
+  std::vector<ObjectId> doomed;
+  // cknn-lint: allow(unordered-iter) keyed erases, order-free
+  by_id_.ForEachUnordered([&](std::uint64_t id, const double& dist) {
+    if (dist > bound) doomed.push_back(static_cast<ObjectId>(id));
+  });
+  for (ObjectId id : doomed) by_id_.Erase(id);
+  // Untracked keys ranked behind the dropped tail: the prefix stays exact.
+  while (!top_.empty() && top_.back().first > bound) top_.pop_back();
 }
 
 void CandidateSet::Clear() {
-  by_id_.clear();
+  by_id_.Clear();
   top_.clear();
-  top_exact_ = true;
 }
 
 std::size_t CandidateSet::MemoryBytes() const {
-  return HashMapBytes(by_id_) + top_.capacity() * sizeof(Key);
+  return by_id_.MemoryBytes() + top_.capacity() * sizeof(Key);
 }
 
 }  // namespace cknn

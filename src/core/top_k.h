@@ -2,12 +2,14 @@
 #define CKNN_CORE_TOP_K_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/core/updates.h"
 #include "src/graph/types.h"
+#include "src/util/id_map.h"
 
 namespace cknn {
 
@@ -25,23 +27,18 @@ namespace cknn {
 ///
 /// Ordering is by (distance, id) so results are deterministic under ties.
 ///
-/// Representation: an id->distance hash map plus a small sorted array of
-/// the nearest entries. The expansion hot path only ever Offers and reads
-/// `KthDist`, both O(1)-ish against the array (a sorted insert of a few
-/// dozen elements), replacing the former red-black-tree node churn. The
-/// side map is deliberately a hash map, not a `DenseIdMap`: a monitoring
-/// server keeps one CandidateSet per query, each holding a handful of
-/// candidates drawn from the whole object-id space, and a dense page
-/// table would cost O(id space) bytes and O(id space / page) iteration
-/// per query (measured as a >1.25x slowdown on the paper's Fig. 13
-/// cardinality sweeps at N = 200k).
-/// Operations that can demote unknown entries into the top range
-/// (removals, distance raises, prunes) lazily mark the array stale; the
-/// next ranked read rebuilds it in one O(n) sweep. The array tracks
-/// `kTopCap` (64) entries by default and grows — once, marking itself
-/// stale for one rebuild — to the largest k ever asked of a ranked read,
+/// Representation: an `IdMap` from id to distance plus a sorted array of
+/// the nearest (distance, id) keys. The array is a *prefix* of the full
+/// order: every entry it does not track ranks behind its last key. So
+/// inserting or lowering an entry either slots it into the array
+/// (displacing the last key when full) or leaves it behind, and removing or
+/// raising a tracked entry just drops its key — the survivors are still the
+/// nearest. A ranked read at k answers from the array while it tracks at
+/// least k entries (or all of them), and only otherwise rebuilds it with
+/// one `nth_element` over the map. The array holds at most `kTopCap` (64)
+/// keys by default and grows to the largest k ever asked of a ranked read,
 /// so large-k workloads (the paper's Fig. 14a goes to k = 200) keep O(1)
-/// reads instead of an O(n) scan per expansion step.
+/// reads.
 class CandidateSet {
  public:
   CandidateSet() = default;
@@ -61,7 +58,7 @@ class CandidateSet {
   /// Stored distance of `id`, or nullopt.
   std::optional<double> DistanceOf(ObjectId id) const;
 
-  bool Contains(ObjectId id) const { return by_id_.count(id) != 0; }
+  bool Contains(ObjectId id) const { return by_id_.Contains(id); }
 
   std::size_t size() const { return by_id_.size(); }
   bool empty() const { return by_id_.empty(); }
@@ -87,7 +84,9 @@ class CandidateSet {
   template <typename F>
   void ForEachCandidate(F&& f) const {
     // cknn-lint: allow(unordered-iter) order documented unspecified at callers
-    for (const auto& [id, dist] : by_id_) f(id, dist);
+    by_id_.ForEachUnordered([&](std::uint64_t id, const double& dist) {
+      f(static_cast<ObjectId>(id), dist);
+    });
   }
 
  private:
@@ -97,24 +96,20 @@ class CandidateSet {
   /// small-k workload without growth.
   static constexpr int kTopCap = 64;
 
-  /// Grows the tracked range to at least `k` (stale until the next
-  /// rebuild). The cap never shrinks — ranked reads stay O(1) for every k
-  /// seen so far at an O(cap) sorted-insert cost per mutation.
-  void EnsureCap(int k) const;
-  /// Rebuilds top_ from the full map when stale (const: top_ is a cache).
-  void EnsureTop() const;
-  /// Sorted-inserts into an exact top_, displacing the largest entry when
-  /// full. No-op while stale.
-  void TopInsert(const Key& key) const;
-  /// Removes `key` from top_ if present; returns true if it was there.
-  bool TopErase(const Key& key) const;
+  /// Places the key of an entry the array does not track: into the array
+  /// if it ranks ahead of the last key (displacing that key when full), or
+  /// at the end if every other entry is tracked and there is room.
+  void Track(const Key& key);
+  /// Drops `key` from the array if it is there.
+  void Untrack(const Key& key);
+  /// Grows the cap to `k` and rebuilds the array if it tracks fewer than
+  /// min(k, size()) entries (const: the array is a cache).
+  void EnsureTop(int k) const;
 
-  std::unordered_map<ObjectId, double> by_id_;
-  /// The min(size(), top_cap_) nearest (distance, id) keys, ascending,
-  /// when `top_exact_`; arbitrary prefix otherwise until the next
-  /// EnsureTop.
+  IdMap<double> by_id_;
+  /// The nearest keys, ascending; every untracked key ranks behind back().
   mutable std::vector<Key> top_;
-  mutable bool top_exact_ = true;
+  /// Keys the array may hold: kTopCap or the largest k asked, if larger.
   mutable int top_cap_ = kTopCap;
 };
 

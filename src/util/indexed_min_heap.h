@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/util/dense_id_map.h"
+#include "src/util/id_map.h"
 #include "src/util/macros.h"
 
 namespace cknn {
@@ -16,8 +16,8 @@ namespace cknn {
 /// node that is already en-heaped (lines 20-23).
 ///
 /// Ids are arbitrary 64-bit integers (node ids in practice); positions are
-/// tracked in an epoch-stamped paged array (`DenseIdMap`), so lookups are
-/// two loads instead of a hash probe and Clear is O(1).
+/// tracked in an `IdMap`, whose footprint follows the number of en-heaped
+/// ids, not the id range.
 class IndexedMinHeap {
  public:
   struct Entry {
@@ -48,9 +48,9 @@ class IndexedMinHeap {
 
   /// Inserts a new id. Checked error if already present.
   void Push(std::uint64_t id, double key) {
-    CKNN_CHECK(!pos_.Contains(id));
+    const bool inserted = pos_.TryEmplace(id, heap_.size()).second;
+    CKNN_CHECK(inserted);
     heap_.push_back(Entry{id, key});
-    pos_[id] = heap_.size() - 1;
     SiftUp(heap_.size() - 1);
   }
 
@@ -112,8 +112,8 @@ class IndexedMinHeap {
   void Swap(std::size_t a, std::size_t b) {
     if (a == b) return;
     std::swap(heap_[a], heap_[b]);
-    pos_[heap_[a].id] = a;
-    pos_[heap_[b].id] = b;
+    *pos_.Find(heap_[a].id) = a;
+    *pos_.Find(heap_[b].id) = b;
   }
 
   void SiftUp(std::size_t i) {
@@ -142,7 +142,7 @@ class IndexedMinHeap {
   }
 
   std::vector<Entry> heap_;
-  DenseIdMap<std::size_t> pos_;
+  IdMap<std::size_t> pos_;
 };
 
 }  // namespace cknn

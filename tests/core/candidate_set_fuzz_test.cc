@@ -3,8 +3,10 @@
 // the ranking heart of every algorithm here, so its Offer/Set/Remove/
 // PruneBeyond semantics get hammered with random operation tapes.
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/top_k.h"
@@ -136,6 +138,76 @@ TEST_P(CandidateSetFuzzTest, AgreesWithNaiveModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CandidateSetFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+/// Default size of CandidateSet's sorted nearest-entries array.
+constexpr int kCap = 64;
+
+class CandidateSetPrefixTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CandidateSetPrefixTest, RankedReadsAgreeAtArrayBoundaries) {
+  // The sorted array tracks an exact prefix of the order and is rebuilt
+  // only when fewer than k entries remain tracked. Hammer that around the
+  // array's size: one set per k in {1, cap-1, cap, cap+1, 2cap} (each read
+  // only at its k, so the array grows to exactly that k past the cap) plus
+  // one read at every k, all fed the same tape of inserts, lowers, raises,
+  // removals and prunes, and all checked after every operation.
+  Rng rng(testing::FuzzSeed(static_cast<std::uint64_t>(GetParam())) * 7919);
+  const int num_ops = testing::FuzzIterations(/*default_iters=*/4000,
+                                              /*hard_cap=*/200000);
+  const std::vector<int> ks = {1, kCap - 1, kCap, kCap + 1, 2 * kCap};
+  std::vector<CandidateSet> per_k(ks.size());
+  CandidateSet mixed;
+  NaiveCandidateSet naive;
+  auto apply = [&](auto&& op) {
+    for (CandidateSet& set : per_k) op(set);
+    op(mixed);
+  };
+  for (int op = 0; op < num_ops; ++op) {
+    const ObjectId id = static_cast<ObjectId>(rng.NextIndex(400));
+    const double dist = static_cast<double>(rng.NextIndex(80)) * 0.25;
+    // Keep the population between the boundaries: grow while small,
+    // churn once large.
+    const std::uint64_t roll = rng.NextIndex(naive.size() < 150 ? 6 : 10);
+    if (roll < 3) {
+      const bool changed = naive.Offer(id, dist);
+      apply([&](CandidateSet& set) { EXPECT_EQ(set.Offer(id, dist), changed); });
+    } else if (roll < 5) {
+      // Set both lowers and raises.
+      naive.Set(id, dist);
+      apply([&](CandidateSet& set) { set.Set(id, dist); });
+    } else if (roll < 9) {
+      const auto want = naive.Remove(id);
+      apply([&](CandidateSet& set) {
+        const auto got = set.Remove(id);
+        EXPECT_EQ(got.has_value(), want.has_value());
+      });
+    } else if (rng.NextIndex(20) == 0) {
+      const double bound = 5.0 + static_cast<double>(rng.NextIndex(60)) * 0.25;
+      naive.PruneBeyond(bound);
+      apply([&](CandidateSet& set) { set.PruneBeyond(bound); });
+    }
+    const std::vector<Neighbor> sorted =
+        naive.TopK(static_cast<int>(naive.size()));
+    auto check = [&](const CandidateSet& set, int k) {
+      ASSERT_EQ(set.size(), sorted.size());
+      const double want_kth = static_cast<int>(sorted.size()) < k
+                                  ? kInfDist
+                                  : sorted[k - 1].distance;
+      ASSERT_EQ(set.KthDist(k), want_kth) << "op " << op << " k " << k;
+      const std::vector<Neighbor> got = set.TopK(k);
+      ASSERT_EQ(got.size(), std::min<std::size_t>(k, sorted.size()));
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].id, sorted[i].id) << "op " << op << " k " << k;
+        ASSERT_EQ(got[i].distance, sorted[i].distance);
+      }
+    };
+    for (std::size_t i = 0; i < ks.size(); ++i) check(per_k[i], ks[i]);
+    for (int k : ks) check(mixed, k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CandidateSetPrefixTest,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace cknn

@@ -4,6 +4,7 @@
 #include "src/core/ovh.h"
 #include "src/core/server.h"
 #include "src/gen/network_gen.h"
+#include "src/gen/random_walk.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -287,6 +288,111 @@ TEST(ImaEngineTest, InfluenceFilteringIgnoresIrrelevantUpdates) {
   const auto changed = engine.ProcessUpdates(updates, {}, {});
   EXPECT_TRUE(changed.empty());
   EXPECT_EQ(engine.stats().updates_ignored, before + 1);
+}
+
+TEST(ImaEngineTest, RebuildPassExaminesOnlyReachedQueries) {
+  // The rebuild pass visits the queries an update reached through an
+  // influence list, not every monitored query.
+  RoadNetwork net = testing::MakeGrid(10);
+  const std::size_t num_edges = net.NumEdges();
+  ObjectTable objects(num_edges);
+  Rng rng(99);
+  for (ObjectId i = 0; i < 40; ++i) {
+    ASSERT_TRUE(objects
+                    .Insert(i, NetworkPoint{static_cast<EdgeId>(
+                                                rng.NextIndex(num_edges)),
+                                            rng.NextDouble()})
+                    .ok());
+  }
+  ImaEngine engine(&net, &objects);
+  for (QueryId q = 0; q < 8; ++q) {
+    const NetworkPoint at{static_cast<EdgeId>(q * 23 % num_edges), 0.5};
+    ASSERT_TRUE(engine.AddQuery(q, ExpansionSource::AtPoint(at), 2).ok());
+  }
+  std::vector<EdgeId> unlisted;
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    if (engine.InfluenceOf(e).empty() && objects.ObjectsOn(e).size() == 1) {
+      unlisted.push_back(e);
+    }
+  }
+  ASSERT_GE(unlisted.size(), 2u);
+
+  // A tick whose updates reach no influence list examines nothing.
+  const EdgeId quiet = unlisted.front();
+  const ObjectId quiet_obj = objects.ObjectsOn(quiet)[0].id;
+  const NetworkPoint quiet_from = *objects.Find(quiet_obj);
+  const std::uint64_t before_quiet = engine.stats().entries_examined;
+  engine.ProcessUpdates(
+      {ObjectUpdate{quiet_obj, quiet_from, NetworkPoint{unlisted[1], 0.5}}},
+      {EdgeUpdate{quiet, net.WeightOf(quiet) * 1.5}}, {});
+  EXPECT_EQ(engine.stats().entries_examined, before_quiet);
+
+  // A single object move examines exactly the queries listed on its old
+  // and new edges.
+  const NetworkPoint from = *objects.Find(0);
+  EdgeId to_edge = from.edge;
+  while (to_edge == from.edge || engine.InfluenceOf(to_edge).empty()) {
+    to_edge = static_cast<EdgeId>(rng.NextIndex(num_edges));
+  }
+  std::vector<QueryId> reached = engine.InfluenceOf(from.edge);
+  for (QueryId q : engine.InfluenceOf(to_edge)) reached.push_back(q);
+  std::sort(reached.begin(), reached.end());
+  reached.erase(std::unique(reached.begin(), reached.end()), reached.end());
+  ASSERT_FALSE(reached.empty());
+  ASSERT_LT(reached.size(), engine.NumQueries());
+  const std::uint64_t before_move = engine.stats().entries_examined;
+  engine.ProcessUpdates({ObjectUpdate{0, from, NetworkPoint{to_edge, 0.25}}},
+                        {}, {});
+  EXPECT_EQ(engine.stats().entries_examined - before_move, reached.size());
+  ASSERT_TRUE(engine.CheckInvariants().ok());
+}
+
+TEST(ImaEngineTest, MemoryStaysBoundedUnderRandomWalk) {
+  // Queries that random-walk over a network visit ever more node ids. The
+  // per-query state must cost what it holds, not the id range it has
+  // visited. Calibration on this setup (network seeds 5-7): from tick 20 to
+  // tick 200 the footprint grows 1.20-1.23x to about 6 KiB per query with
+  // compact id maps, but 1.61-1.66x to about 140 KiB per query with node
+  // maps paged over the id range. The bounds sit in between.
+  NetworkGenConfig config;
+  config.target_edges = 3000;
+  config.seed = 5;
+  RoadNetwork net = GenerateRoadNetwork(config);
+  const std::size_t num_edges = net.NumEdges();
+  ObjectTable objects(num_edges);
+  Rng rng(31);
+  for (ObjectId i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(objects
+                    .Insert(i, NetworkPoint{static_cast<EdgeId>(
+                                                rng.NextIndex(num_edges)),
+                                            rng.NextDouble()})
+                    .ok());
+  }
+  ImaEngine engine(&net, &objects);
+  std::vector<NetworkPoint> query_pos;
+  for (QueryId q = 0; q < 60; ++q) {
+    query_pos.push_back(NetworkPoint{
+        static_cast<EdgeId>(rng.NextIndex(num_edges)), rng.NextDouble()});
+    ASSERT_TRUE(
+        engine.AddQuery(q, ExpansionSource::AtPoint(query_pos.back()), 8)
+            .ok());
+  }
+  std::size_t at_tick_20 = 0;
+  for (int tick = 1; tick <= 200; ++tick) {
+    std::vector<ImaEngine::MoveRequest> moves;
+    for (QueryId q = 0; q < query_pos.size(); ++q) {
+      query_pos[q] = RandomWalkStep(net, query_pos[q], 150.0, &rng);
+      moves.push_back(ImaEngine::MoveRequest{q, query_pos[q]});
+    }
+    engine.ProcessUpdates({}, {}, moves);
+    if (tick == 20) at_tick_20 = engine.MemoryBytes();
+  }
+  ASSERT_TRUE(engine.CheckInvariants().ok());
+  EXPECT_LE(static_cast<double>(engine.MemoryBytes()),
+            1.4 * static_cast<double>(at_tick_20))
+      << "tick 20: " << at_tick_20 << " B, tick 200: "
+      << engine.MemoryBytes() << " B";
+  EXPECT_LE(engine.MemoryBytes(), query_pos.size() * 16 * 1024);
 }
 
 TEST(ImaEngineTest, AddRemoveQueryLifecycle) {

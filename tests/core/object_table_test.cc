@@ -39,7 +39,7 @@ TEST(ObjectTableTest, RemoveDetachesFromEdge) {
   ASSERT_TRUE(table.Remove(1).ok());
   EXPECT_FALSE(table.Contains(1));
   EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
-  EXPECT_EQ(table.ObjectsOn(0)[0], 2u);
+  EXPECT_EQ(table.ObjectsOn(0)[0].id, 2u);
   EXPECT_TRUE(table.Remove(1).IsNotFound());
 }
 
@@ -48,7 +48,8 @@ TEST(ObjectTableTest, MoveAcrossEdges) {
   ASSERT_TRUE(table.Insert(5, NetworkPoint{0, 0.5}).ok());
   ASSERT_TRUE(table.Move(5, NetworkPoint{2, 0.25}).ok());
   EXPECT_TRUE(table.ObjectsOn(0).empty());
-  EXPECT_EQ(table.ObjectsOn(2).size(), 1u);
+  ASSERT_EQ(table.ObjectsOn(2).size(), 1u);
+  EXPECT_DOUBLE_EQ(table.ObjectsOn(2)[0].t, 0.25);
   EXPECT_DOUBLE_EQ(table.Position(5)->t, 0.25);
 }
 
@@ -56,8 +57,33 @@ TEST(ObjectTableTest, MoveWithinEdgeKeepsSingleEntry) {
   ObjectTable table(1);
   ASSERT_TRUE(table.Insert(5, NetworkPoint{0, 0.5}).ok());
   ASSERT_TRUE(table.Move(5, NetworkPoint{0, 0.6}).ok());
-  EXPECT_EQ(table.ObjectsOn(0).size(), 1u);
+  ASSERT_EQ(table.ObjectsOn(0).size(), 1u);
+  // The edge list's inline offset follows the move.
+  EXPECT_DOUBLE_EQ(table.ObjectsOn(0)[0].t, 0.6);
   EXPECT_DOUBLE_EQ(table.Position(5)->t, 0.6);
+}
+
+TEST(ObjectTableTest, EdgeListOffsetsMatchPositions) {
+  ObjectTable table(3);
+  for (ObjectId i = 0; i < 30; ++i) {
+    ASSERT_TRUE(table.Insert(i, NetworkPoint{i % 3, i / 30.0}).ok());
+  }
+  for (ObjectId i = 0; i < 30; i += 3) {
+    ASSERT_TRUE(table.Move(i, NetworkPoint{(i + 1) % 3, 0.5}).ok());
+    ASSERT_TRUE(table.Move(i + 1, NetworkPoint{(i + 1) % 3, 0.75}).ok());
+  }
+  ASSERT_TRUE(table.Remove(4).ok());
+  std::size_t listed = 0;
+  for (EdgeId e = 0; e < 3; ++e) {
+    for (const ObjectTable::EdgeObject& obj : table.ObjectsOn(e)) {
+      ++listed;
+      const auto pos = table.Position(obj.id);
+      ASSERT_TRUE(pos.ok());
+      EXPECT_EQ(pos->edge, e);
+      EXPECT_DOUBLE_EQ(pos->t, obj.t);
+    }
+  }
+  EXPECT_EQ(listed, table.size());
 }
 
 TEST(ObjectTableTest, MoveUnknownRejected) {
@@ -76,8 +102,9 @@ TEST(ObjectTableTest, ManyObjectsPerEdge) {
   }
   auto on_edge = table.ObjectsOn(0);
   EXPECT_EQ(on_edge.size(), 50u);
-  EXPECT_TRUE(std::all_of(on_edge.begin(), on_edge.end(),
-                          [](ObjectId id) { return id % 2 == 1; }));
+  EXPECT_TRUE(std::all_of(
+      on_edge.begin(), on_edge.end(),
+      [](const ObjectTable::EdgeObject& o) { return o.id % 2 == 1; }));
 }
 
 TEST(ObjectTableTest, MemoryBytesGrows) {

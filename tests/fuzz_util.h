@@ -1,10 +1,10 @@
 #ifndef CKNN_TESTS_FUZZ_UTIL_H_
 #define CKNN_TESTS_FUZZ_UTIL_H_
 
-// Runtime bounds for the randomized suites (torture_test and the two
-// differential fuzz tests). Defaults are fixed so tier-1 is deterministic
-// and finishes in seconds; two environment variables widen the exploration
-// locally without editing the tests:
+// Runtime bounds for the randomized suites (the `fuzz`-labelled
+// differential tests and torture_test). Defaults are fixed so tier-1 is
+// deterministic and finishes in seconds; two environment variables widen
+// the exploration locally without editing the tests:
 //
 //   CKNN_FUZZ_SEED=<n>    mixes n into every per-case seed (default: 0,
 //                         meaning the per-case seed is used verbatim, which

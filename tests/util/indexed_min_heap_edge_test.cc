@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "src/util/rng.h"
+#include "tests/fuzz_util.h"
 
 namespace cknn {
 namespace {
@@ -121,13 +122,18 @@ TEST(IndexedMinHeapEdgeTest, LargeIdsDoNotCollide) {
 }
 
 TEST(IndexedMinHeapEdgeTest, RandomizedDifferentialAgainstMultimap) {
-  Rng rng(20260729);
+  Rng rng(testing::FuzzSeed(20260729));
   IndexedMinHeap heap;
   // Reference: id -> key. Validates Contains/KeyOf/Pop order.
   std::map<std::uint64_t, double> reference;
 
-  for (int step = 0; step < 5000; ++step) {
-    const auto id = static_cast<std::uint64_t>(rng.UniformInt(0, 199));
+  const int steps = testing::FuzzIterations(/*default_iters=*/5000,
+                                            /*hard_cap=*/500000);
+  for (int step = 0; step < steps; ++step) {
+    // The top ten draws map to the top of the id space, UINT64_MAX
+    // included, so the position index sees every kind of key.
+    auto id = static_cast<std::uint64_t>(rng.UniformInt(0, 199));
+    if (id >= 190) id = std::numeric_limits<std::uint64_t>::max() - (id - 190);
     const double key = rng.Uniform(0.0, 100.0);
     switch (rng.UniformInt(0, 3)) {
       case 0: {  // PushOrDecrease

@@ -19,8 +19,11 @@
 
 #include "gtest/gtest.h"
 #include "src/core/expansion.h"
+#include "src/core/ima.h"
+#include "src/core/object_table.h"
 #include "src/core/top_k.h"
-#include "src/util/dense_id_map.h"
+#include "src/gen/random_walk.h"
+#include "src/util/id_map.h"
 #include "src/util/indexed_min_heap.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -78,13 +81,13 @@ void ExpectEstimateWithinOracle(const char* what, Build&& build) {
       << actual;
 }
 
-TEST(MemOracleTest, DenseIdMap) {
-  ExpectEstimateWithinOracle("DenseIdMap", [] {
-    auto map = std::make_unique<DenseIdMap<double>>();
+TEST(MemOracleTest, IdMap) {
+  ExpectEstimateWithinOracle("IdMap", [] {
+    auto map = std::make_unique<IdMap<double>>();
     for (std::uint64_t id = 0; id < 20000; ++id) {
       (*map)[id * 3] = static_cast<double>(id);
     }
-    for (std::uint64_t id = 0; id < 200; ++id) {  // Overflow range.
+    for (std::uint64_t id = 0; id < 200; ++id) {  // Far out in the id range.
       (*map)[(std::uint64_t{1} << 40) + id * 977] = static_cast<double>(id);
     }
     return map;
@@ -123,6 +126,73 @@ TEST(MemOracleTest, ExpansionState) {
       state->Settle(n, static_cast<double>(n), n - 1, 0);
     }
     return state;
+  });
+}
+
+TEST(MemOracleTest, ObjectTable) {
+  ExpectEstimateWithinOracle("ObjectTable", [] {
+    auto table = std::make_unique<ObjectTable>(2000);
+    Rng rng(17);
+    for (ObjectId id = 0; id < 8000; ++id) {
+      const NetworkPoint pos{static_cast<EdgeId>(rng.NextIndex(2000)),
+                             rng.NextDouble()};
+      EXPECT_TRUE(table->Insert(id, pos).ok());
+    }
+    return table;
+  });
+}
+
+TEST(MemOracleTest, ImaEngine) {
+  // The engine's per-structure estimates (expansion trees, frontiers, known
+  // sets, coverage sets, influence lists, worklist) after a few ticks of
+  // edge updates, query moves and object moves. The network and the object
+  // table are built outside the measured region, and object moves stay on
+  // their edge, so the table allocates nothing while the engine runs.
+  RoadNetwork net = testing::MakeGrid(30);
+  net.BuildAdjacencyIndex();
+  ObjectTable objects(net.NumEdges());
+  Rng rng(23);
+  std::vector<NetworkPoint> object_pos;
+  for (ObjectId id = 0; id < 600; ++id) {
+    object_pos.push_back(NetworkPoint{
+        static_cast<EdgeId>(rng.NextIndex(net.NumEdges())), rng.NextDouble()});
+    ASSERT_TRUE(objects.Insert(id, object_pos.back()).ok());
+  }
+  ExpectEstimateWithinOracle("ImaEngine", [&] {
+    auto engine = std::make_unique<ImaEngine>(&net, &objects);
+    std::vector<NetworkPoint> query_pos;
+    for (QueryId q = 0; q < 40; ++q) {
+      query_pos.push_back(NetworkPoint{
+          static_cast<EdgeId>(rng.NextIndex(net.NumEdges())), 0.5});
+      EXPECT_TRUE(
+          engine->AddQuery(q, ExpansionSource::AtPoint(query_pos.back()), 6)
+              .ok());
+    }
+    for (int tick = 0; tick < 5; ++tick) {
+      std::vector<ObjectUpdate> object_updates;
+      for (ObjectId id = 0; id < object_pos.size(); id += 7) {
+        const NetworkPoint to{object_pos[id].edge, rng.NextDouble()};
+        object_updates.push_back(ObjectUpdate{id, object_pos[id], to});
+        object_pos[id] = to;
+      }
+      std::vector<EdgeUpdate> edge_updates;
+      for (int i = 0; i < 40; ++i) {
+        const EdgeId e = static_cast<EdgeId>(rng.NextIndex(net.NumEdges()));
+        bool dup = false;
+        for (const EdgeUpdate& u : edge_updates) dup |= u.edge == e;
+        if (dup) continue;
+        edge_updates.push_back(EdgeUpdate{
+            e, net.WeightOf(e) * (rng.NextBool(0.5) ? 1.3 : 0.75)});
+      }
+      std::vector<ImaEngine::MoveRequest> moves;
+      for (QueryId q = 0; q < query_pos.size(); q += 2) {
+        query_pos[q] = RandomWalkStep(net, query_pos[q], 1.0, &rng);
+        moves.push_back(ImaEngine::MoveRequest{q, query_pos[q]});
+      }
+      engine->ProcessUpdates(object_updates, edge_updates, moves);
+    }
+    EXPECT_TRUE(engine->CheckInvariants().ok());
+    return engine;
   });
 }
 
